@@ -158,8 +158,9 @@ DependenceTester::testLoop(const DoStmt *L,
   LoopDepResult R;
 
   // Gather all accesses grouped by array, with their inner-loop context.
-  std::map<const Symbol *, std::vector<Access>> ByArray;
-  std::set<const Symbol *> Opaque;      // Written in an unanalyzable context.
+  std::map<const Symbol *, std::vector<Access>, SymbolIdLess> ByArray;
+  // Written in an unanalyzable context.
+  std::set<const Symbol *, SymbolIdLess> Opaque;
   std::set<const Symbol *> OpaqueReads; // Read in an unanalyzable context.
 
   std::vector<const DoStmt *> LoopStack;

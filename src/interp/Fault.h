@@ -132,7 +132,8 @@ struct RuntimeFault {
 /// Per-invocation fault summary of one Interpreter::run. A run that faulted
 /// terminally has Faulted set and Fault holding the authoritative fault; a
 /// run that contained and recovered every fault (serial replay completed)
-/// reports the counters but leaves Faulted clear.
+/// reports the counters but leaves Faulted clear. Interpreter::run fills
+/// the counters from the run's ExecStats fault fields.
 struct FaultState {
   /// The run ended on an unrecovered fault; Fault is authoritative.
   bool Faulted = false;

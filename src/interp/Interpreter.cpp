@@ -85,6 +85,58 @@ static ::iaa::stat::Statistic vm_parallel_loop_runs(
 static ::iaa::stat::Statistic vm_chunks_run(
     "vm", "vm_chunks_run", "Iteration chunks executed as bytecode");
 
+namespace {
+
+/// A published counter and the one ExecStats field that counts its event.
+struct PublishedCounter {
+  ::iaa::stat::Statistic &Global;
+  unsigned ExecStats::*Field;
+};
+
+const PublishedCounter Published[] = {
+    {interp_parallel_loop_runs, &ExecStats::ParallelLoopRuns},
+    {interp_chunks_run, &ExecStats::ChunksRun},
+    {interp_inspections_run, &ExecStats::InspectionsRun},
+    {interp_inspections_cached, &ExecStats::InspectionsCached},
+    {interp_runtime_check_fails, &ExecStats::RuntimeCheckFails},
+    {interp_locality_model_picks, &ExecStats::LocalityModelPicks},
+    {interp_locality_reorders, &ExecStats::LocalityReorders},
+    {interp_locality_reorders_cached, &ExecStats::LocalityReordersCached},
+    {interp_faults_trapped, &ExecStats::WorkerFaults},
+    {interp_fault_rollbacks, &ExecStats::FaultRollbacks},
+    {interp_fault_replays, &ExecStats::FaultReplays},
+    {interp_fault_replays_recovered, &ExecStats::FaultReplaysRecovered},
+    {dispatch_static, &ExecStats::DispatchStatic},
+    {dispatch_conditional, &ExecStats::DispatchConditional},
+    {dispatch_serial, &ExecStats::DispatchSerial},
+    {dispatch_replay, &ExecStats::DispatchReplay},
+    {vm_loops_compiled, &ExecStats::VmLoopsCompiled},
+    {vm_bailouts, &ExecStats::VmBailouts},
+    {vm_parallel_loop_runs, &ExecStats::VmParallelLoopRuns},
+    {vm_chunks_run, &ExecStats::VmChunksRun},
+};
+
+/// Publishes one run's counts in \p S to the global counters, and so to
+/// the calling thread's stat::Collector, then fills \p FS's counters from
+/// the same fields. Interpreter::run calls it once per run, on the calling
+/// thread, on every exit.
+void publishRun(const ExecStats &S, FaultState &FS) {
+  ++interp_runs;
+  for (const PublishedCounter &P : Published)
+    if (unsigned N = S.*P.Field)
+      P.Global += N;
+  // The run's terminal fault is trapped once more, by Interpreter::run; a
+  // propagated worker fault was already counted in its worker.
+  if (FS.Faulted)
+    ++interp_faults_trapped;
+  FS.FaultsObserved = S.WorkerFaults + FS.Faulted;
+  FS.Rollbacks = S.FaultRollbacks;
+  FS.Replays = S.FaultReplays;
+  FS.ReplaysRecovered = S.FaultReplaysRecovered;
+}
+
+} // namespace
+
 const char *iaa::interp::engineName(ExecEngine E) {
   switch (E) {
   case ExecEngine::Interp:
@@ -393,9 +445,9 @@ namespace {
 class Exec {
 public:
   Exec(const Program &P, Memory &Mem, const ExecOptions &Opts,
-       ExecStats *Stats, FaultState &FS, RuntimeCaches &Caches)
-      : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), FS(FS), C(Caches),
-        Cancel(Opts.Cancel) {
+       ExecStats &Stats, bool TimeLoops, RuntimeCaches &Caches)
+      : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), TimeLoops(TimeLoops),
+        C(Caches), Cancel(Opts.Cancel) {
     // Pre-compute per-array dimension extents for subscript linearization.
     analysis::GlobalConstants Consts(P);
     DimExtents.resize(P.numSymbols());
@@ -596,7 +648,7 @@ private:
   /// parallel loop: the trapped fault and how the rollback resolved.
   void addFaultRemark(const DoStmt *DS, const RuntimeFault &Trapped,
                       const char *Outcome, const RuntimeFault *ReplayFault) {
-    if (!Stats || Stats->FaultRemarks.size() >= 64)
+    if (Stats.FaultRemarks.size() >= 64)
       return;
     Remark R;
     R.Loop = DS->label().empty() ? "<unlabeled>" : DS->label();
@@ -605,7 +657,7 @@ private:
     R.Evidence.emplace_back("fault", Trapped.str());
     if (ReplayFault)
       R.Evidence.emplace_back("replay-fault", ReplayFault->str());
-    Stats->FaultRemarks.push_back(std::move(R));
+    Stats.FaultRemarks.push_back(std::move(R));
   }
 
   /// Returns the bytecode program for \p DS under --engine=vm, or null when
@@ -629,17 +681,8 @@ private:
     // Count the outcome once per *session*, not once per store insert: with
     // a shared store the compile may have happened in another session, but
     // each session still reports every distinct loop it ran on the VM.
-    if (C.VmSeen.insert(DS).second) {
-      if (R.Ok) {
-        ++vm_loops_compiled;
-        if (Stats)
-          ++Stats->VmLoopsCompiled;
-      } else {
-        ++vm_bailouts;
-        if (Stats)
-          ++Stats->VmBailouts;
-      }
-    }
+    if (C.VmSeen.insert(DS).second)
+      ++(R.Ok ? Stats.VmLoopsCompiled : Stats.VmBailouts);
     return R.Ok ? &R.Prog : nullptr;
   }
 
@@ -870,11 +913,9 @@ private:
 
   void recordRace(const ShadowMonitor &M, const Symbol *S, size_t Idx,
                   int64_t IterA, int64_t IterB, RaceKind K) {
-    if (!Stats)
-      return;
-    ++Stats->RacesFound;
-    if (Stats->Races.size() < 64)
-      Stats->Races.push_back({M.Label, S->name(), Idx, IterA, IterB, K});
+    ++Stats.RacesFound;
+    if (Stats.Races.size() < 64)
+      Stats.Races.push_back({M.Label, S->name(), Idx, IterA, IterB, K});
   }
 
   void noteRead(const Symbol *S, size_t Idx) {
@@ -1014,23 +1055,33 @@ private:
     }
   }
 
+  /// Runs one do-loop invocation, adding a labeled serial-context
+  /// invocation's seconds to ExecStats::LoopSeconds when timing is on (a
+  /// faulting invocation unwinds without a record). A serial replay is
+  /// accounting-invisible for nested loops: the outer invocation already
+  /// owns the wall time, the dispatch tier, and the profiling record
+  /// (attributed as a replay), so nested loops executed during the replay
+  /// must not re-time, re-count, re-profile — or re-fork; the replay's
+  /// contract is faithful serial re-execution.
   void execDo(const DoStmt *DS, Frame &F) {
+    if (!TimeLoops || DS->label().empty() || F.InParallel || F.InReplay)
+      return dispatchDo(DS, F);
+    Timer LoopTimer;
+    double AdjustAtEntry = VirtualAdjust;
+    dispatchDo(DS, F);
+    Stats.LoopSeconds[DS->label()] +=
+        LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
+  }
+
+  /// Decides how one do-loop invocation runs (serial, race-checked,
+  /// inspected, or parallel), counts its dispatch tier, and runs it.
+  void dispatchDo(const DoStmt *DS, Frame &F) {
     int64_t Lo = eval(DS->lower(), F).asInt();
     int64_t Up = eval(DS->upper(), F).asInt();
     int64_t Step = DS->step() ? eval(DS->step(), F).asInt() : 1;
     if (Step == 0)
       fault(FaultKind::BadStep, DS->loc(), F, "do loop with zero step",
             DS->indexVar(), /*HasValue=*/true, /*Value=*/0);
-
-    // A serial replay is accounting-invisible for nested loops: the outer
-    // invocation already owns the wall time, the dispatch tier, and the
-    // profiling record (attributed as a replay), so nested loops executed
-    // during the replay must not re-time, re-count, re-profile — or
-    // re-fork; the replay's contract is faithful serial re-execution.
-    bool Timed = !DS->label().empty() && Stats && !F.InParallel &&
-                 !F.InReplay;
-    Timer LoopTimer;
-    double AdjustAtEntry = VirtualAdjust;
 
     const xform::LoopPlan *Plan = nullptr;
     if (!F.InParallel && !F.InReplay && Opts.Plans &&
@@ -1072,31 +1123,17 @@ private:
     // serially under shadow tags, bypassing the profitability guard so
     // every certified plan is checked regardless of size.
     if (Plan && Opts.RaceCheck && NIter >= 2) {
-      ++dispatch_static;
-      if (Stats)
-        ++Stats->DispatchStatic;
+      ++Stats.DispatchStatic;
       if (Rec)
         Rec->Detail = "race-check: plan-marked loop forced serial";
       execDoShadow(DS, Plan, Lo, Up, F);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
       return;
     }
 
     if (!Plan || NIter < 2 ||
         satMul(NIter, bodyWeight(DS)) < Opts.MinParallelWork) {
-      if (!F.InParallel && !F.InReplay) {
-        if (CondInspected) {
-          ++dispatch_conditional;
-          if (Stats)
-            ++Stats->DispatchConditional;
-        } else {
-          ++dispatch_serial;
-          if (Stats)
-            ++Stats->DispatchSerial;
-        }
-      }
+      if (!F.InParallel && !F.InReplay)
+        ++(CondInspected ? Stats.DispatchConditional : Stats.DispatchSerial);
       if (Rec) {
         if (CondInspected) {
           // A passed inspection with a sufficient trip count dispatches in
@@ -1119,40 +1156,12 @@ private:
       }
       setScalar(DS->indexVar(),
                 NIter > 0 ? Lo + NIter * Step : Lo, F);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
       return;
     }
 
-    // --- Parallel execution.
-    // Tier accounting is deferred until the invocation's outcome is known:
-    // a dispatch that faults and is serially replayed belongs to the
-    // replay tier, not its original parallel tier — one tier per
-    // invocation (Statistic has no decrement, so count late rather than
-    // retract).
-    bool DispatchCounted = false;
-    auto CountDispatch = [&](bool Replayed) {
-      if (DispatchCounted)
-        return;
-      DispatchCounted = true;
-      if (Replayed) {
-        ++dispatch_replay;
-        if (Stats)
-          ++Stats->DispatchReplay;
-      } else if (CondInspected) {
-        ++dispatch_conditional;
-        if (Stats)
-          ++Stats->DispatchConditional;
-      } else {
-        ++dispatch_static;
-        if (Stats)
-          ++Stats->DispatchStatic;
-      }
-    };
-    if (Stats)
-      ++Stats->ParallelLoopRuns;
-    ++interp_parallel_loop_runs;
+    // --- Parallel execution. Its dispatch tier is counted after the join,
+    // once the outcome is known.
+    ++Stats.ParallelLoopRuns;
     unsigned T = Opts.Threads;
     if (static_cast<int64_t>(T) > NIter)
       T = static_cast<unsigned>(NIter);
@@ -1171,9 +1180,7 @@ private:
       Sch = Pick.Sched;
       ChunkSize = Pick.ChunkSize;
       Align = Pick.Align;
-      ++interp_locality_model_picks;
-      if (Stats)
-        ++Stats->LocalityModelPicks;
+      ++Stats.LocalityModelPicks;
     }
     std::shared_ptr<const std::vector<int64_t>> Order;
     if (CondInspected && Opts.Locality == sched::LocalityMode::Reorder)
@@ -1183,11 +1190,8 @@ private:
     // chunks as register bytecode; a bailout (or interp engine) keeps the
     // tree walk. Everything around the chunk body is engine-agnostic.
     const vm::LoopProgram *VmProg = vmProgramFor(DS, Plan);
-    if (VmProg) {
-      ++vm_parallel_loop_runs;
-      if (Stats)
-        ++Stats->VmParallelLoopRuns;
-    }
+    if (VmProg)
+      ++Stats.VmParallelLoopRuns;
 
     if (Rec) {
       Rec->Kind = CondInspected ? prof::DispatchKind::CondParallel
@@ -1409,37 +1413,38 @@ private:
     }
 
     unsigned ChunksRun = Disp.chunksDispensed();
-    interp_chunks_run += ChunksRun;
-    if (VmProg) {
-      vm_chunks_run += ChunksRun;
-      if (Stats)
-        Stats->VmChunksRun += ChunksRun;
-    }
-    if (Stats) {
-      Stats->ChunksRun += ChunksRun;
-      for (const WorkerState &WS : Workers) {
-        if (!WS.Ran)
-          continue;
-        ++Stats->WorkersEngaged;
-        Stats->ChunkSecondsSum += WS.SecondsSum;
-        Stats->ChunkSecondsMax = std::max(Stats->ChunkSecondsMax,
-                                          WS.SecondsMax);
-      }
+    Stats.ChunksRun += ChunksRun;
+    if (VmProg)
+      Stats.VmChunksRun += ChunksRun;
+    for (const WorkerState &WS : Workers) {
+      if (!WS.Ran)
+        continue;
+      ++Stats.WorkersEngaged;
+      Stats.ChunkSecondsSum += WS.SecondsSum;
+      Stats.ChunkSecondsMax = std::max(Stats.ChunkSecondsMax, WS.SecondsMax);
     }
 
+    // The invocation's one dispatch tier. A faulted dispatch that is rolled
+    // back and serially replayed counts as a replay, not in its original
+    // parallel tier. Resource-limit faults (deadline, memory budget) are
+    // never replayed, whatever the policy: serially re-running the loop
+    // cannot un-blow a budget — it would just burn the daemon's wall clock
+    // a second time.
+    unsigned NFaults = Faults.Count.load(std::memory_order_relaxed);
+    const bool Replay = NFaults && Opts.OnFault == FaultAction::Replay &&
+                        !faultIsResourceLimit(Faults.First->Kind);
+    ++(Replay ? Stats.DispatchReplay
+              : CondInspected ? Stats.DispatchConditional
+                              : Stats.DispatchStatic);
+
     // A worker faulted: the torn parallel state must not be merged.
-    if (unsigned NFaults = Faults.Count.load(std::memory_order_relaxed)) {
-      interp_faults_trapped += NFaults;
-      FS.FaultsObserved += NFaults;
-      if (Stats)
-        Stats->WorkerFaults += NFaults;
+    if (NFaults) {
+      Stats.WorkerFaults += NFaults;
       RuntimeFault First = std::move(*Faults.First);
-      if (!Transactional) {
-        // Abort: no snapshot exists, shared state is possibly torn.
-        // Propagate and let the driver decide whether to kill the process.
-        CountDispatch(false);
+      // Abort: no snapshot exists, shared state is possibly torn.
+      // Propagate and let the driver decide whether to kill the process.
+      if (!Transactional)
         throw FaultException(std::move(First));
-      }
 
       // Roll the transaction back: restore every MAY-written buffer,
       // version counter included. The restored bytes are exactly the
@@ -1455,21 +1460,14 @@ private:
       }
       if (Rec)
         Rec->RollbackUs += RollbackTimer.seconds() * 1e6;
-      ++FS.Rollbacks;
-      ++interp_fault_rollbacks;
-      if (Stats)
-        ++Stats->FaultRollbacks;
+      ++Stats.FaultRollbacks;
 
-      // Resource-limit faults (deadline, memory budget) are never replayed,
-      // whatever the policy: serially re-running the loop cannot un-blow a
-      // budget — it would just burn the daemon's wall clock a second time.
-      // Rollback-and-report preserves the transactional guarantee.
-      if (Opts.OnFault == FaultAction::Report ||
-          faultIsResourceLimit(First.Kind)) {
+      // Report, or a resource-limit fault: rollback-and-report preserves
+      // the transactional guarantee.
+      if (!Replay) {
         if (Rec)
           Rec->Detail = "worker fault: rolled back, reported";
         addFaultRemark(DS, First, "rolled back, reported", nullptr);
-        CountDispatch(false);
         throw FaultException(std::move(First));
       }
 
@@ -1478,14 +1476,7 @@ private:
       // correctly — proving the fault an artifact of parallel execution
       // (e.g. damage done by a mis-certified plan, or an injected
       // parallel-only fault).
-      ++FS.Replays;
-      ++interp_fault_replays;
-      if (Stats)
-        ++Stats->FaultReplays;
-      // One invocation, one tier: the faulted parallel attempt is subsumed
-      // by the replay — counting it in its original tier too would inflate
-      // the health-report dispatch totals past the invocation count.
-      CountDispatch(/*Replayed=*/true);
+      ++Stats.FaultReplays;
       if (Rec)
         Rec->Kind = prof::DispatchKind::Replay;
       Frame FR = F;
@@ -1513,16 +1504,10 @@ private:
         Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
         Rec->Detail = "worker fault: replay recovered";
       }
-      ++FS.ReplaysRecovered;
-      ++interp_fault_replays_recovered;
+      ++Stats.FaultReplaysRecovered;
       addFaultRemark(DS, First, "replay recovered", nullptr);
-      if (Timed)
-        Stats->LoopSeconds[DS->label()] +=
-            LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
       return;
     }
-
-    CountDispatch(false);
 
     // Merge reductions: global += sum of partials of the workers that ran.
     for (const Symbol *S : Plan->Reductions) {
@@ -1560,10 +1545,6 @@ private:
     // so inspector-cache entries keyed on these arrays are invalidated.
     if (Opts.RuntimeChecks)
       bumpWriteSetVersions(DS);
-
-    if (Timed)
-      Stats->LoopSeconds[DS->label()] +=
-          LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
   }
 
   /// Static work estimate of one statement: assignments count 1, nested
@@ -1641,16 +1622,11 @@ private:
 
   void recordDecision(const DoStmt *DS, bool Cached, bool DidPass,
                       const std::string &Detail) {
-    if (!Stats)
-      return;
-    if (Cached)
-      ++Stats->InspectionsCached;
-    else
-      ++Stats->InspectionsRun;
+    ++(Cached ? Stats.InspectionsCached : Stats.InspectionsRun);
     if (!DidPass)
-      ++Stats->RuntimeCheckFails;
-    if (Stats->RuntimeDecisions.size() < 64)
-      Stats->RuntimeDecisions.push_back(
+      ++Stats.RuntimeCheckFails;
+    if (Stats.RuntimeDecisions.size() < 64)
+      Stats.RuntimeDecisions.push_back(
           {DS->label().empty() ? "<unlabeled>" : DS->label(), Cached, DidPass,
            Detail});
   }
@@ -1686,7 +1662,6 @@ private:
     auto [It, Inserted] = C.InspectionCache.try_emplace(DS);
     RuntimeCaches::InspectionEntry &E = It->second;
     if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
-      ++interp_inspections_cached;
       recordDecision(DS, /*Cached=*/true, E.Pass, E.Detail);
       if (DetailOut)
         *DetailOut = E.Detail;
@@ -1715,9 +1690,6 @@ private:
     E.Lo = Lo;
     E.Up = Up;
     E.Versions = std::move(Versions);
-    ++interp_inspections_run;
-    if (!E.Pass)
-      ++interp_runtime_check_fails;
     if (Span.active())
       Span.arg("verdict", E.Pass ? "pass" : "fail");
     recordDecision(DS, /*Cached=*/false, E.Pass, E.Detail);
@@ -1794,9 +1766,7 @@ private:
     auto [It, Inserted] = C.ReorderCache.try_emplace(DS);
     RuntimeCaches::ReorderEntry &E = It->second;
     if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
-      ++interp_locality_reorders_cached;
-      if (Stats)
-        ++Stats->LocalityReordersCached;
+      ++Stats.LocalityReordersCached;
       return E.Order;
     }
 
@@ -1807,9 +1777,7 @@ private:
     E.Versions = std::move(Versions);
     E.Order = O.Order;
     E.LinesTouched = O.LinesTouched;
-    ++interp_locality_reorders;
-    if (Stats)
-      ++Stats->LocalityReorders;
+    ++Stats.LocalityReorders;
     return E.Order;
   }
 
@@ -1822,10 +1790,12 @@ private:
   const Program &Prog;
   Memory &Mem;
   const ExecOptions &Opts;
-  ExecStats *Stats;
-  /// Per-run fault summary (owned by Interpreter); execDo accumulates
-  /// trapped-fault, rollback, and replay counts here.
-  FaultState &FS;
+  /// The run's only counter sink: the caller's ExecStats, or a local one
+  /// when the caller passed none (Interpreter::run publishes it either way).
+  ExecStats &Stats;
+  /// Record ExecStats::LoopSeconds; only when the caller asked for stats,
+  /// so untraced runs do no per-loop map work.
+  const bool TimeLoops;
   /// Session-lifetime per-loop caches and pool (owned by Interpreter).
   RuntimeCaches &C;
   /// The run's cooperative deadline token (null when untimed).
@@ -1859,6 +1829,8 @@ void Interpreter::setBytecodeCache(std::shared_ptr<vm::BytecodeCache> Cache) {
 }
 
 Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
+  ExecStats Local;
+  ExecStats &S = Stats ? *Stats : Local;
   if (Opts.Engine == ExecEngine::Both) {
     // Differential oracle: run the whole program on the reference tree walk
     // first (unprofiled — observation belongs to the engine under test),
@@ -1874,8 +1846,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
     VmOpts.Engine = ExecEngine::Vm;
     Memory VmMem = run(VmOpts, Stats);
 
-    if (Stats)
-      ++Stats->BothComparisons;
+    ++S.BothComparisons;
     std::string Why;
     if (RefFault.Faulted || LastFault.Faulted) {
       // A terminal fault leaves memory at the fault point, which legally
@@ -1898,8 +1869,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
               " vm=" + std::to_string(B);
     }
     if (!Why.empty()) {
-      if (Stats)
-        ++Stats->BothMismatches;
+      ++S.BothMismatches;
       LastFault.Faulted = true;
       ++LastFault.FaultsObserved;
       LastFault.Fault = RuntimeFault{};
@@ -1912,8 +1882,8 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   trace::TraceScope Span("interp-run", "interp");
   Span.arg("threads", std::to_string(Opts.Threads));
   Span.arg("mode", Opts.Simulate ? "simulate" : "threaded");
-  ++interp_runs;
   LastFault = FaultState{};
+  S = ExecStats{};
   Timer Total;
   Memory Mem;
   std::optional<Exec> E;
@@ -1923,20 +1893,16 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   // state at the fault; rolled-back loops were already restored.
   try {
     Mem = Memory(Prog, Opts.MemLimitBytes);
-    E.emplace(Prog, Mem, Opts, Stats, LastFault, *Caches);
+    E.emplace(Prog, Mem, Opts, S, /*TimeLoops=*/Stats != nullptr, *Caches);
     E->runMain();
   } catch (FaultException &FE) {
-    ++interp_faults_trapped;
     LastFault.Faulted = true;
-    ++LastFault.FaultsObserved;
     LastFault.Fault = std::move(FE.Fault);
     if (Span.active())
       Span.arg("fault", faultKindName(LastFault.Fault.Kind));
   }
-  if (Stats) {
-    Stats->WallSeconds = Total.seconds();
-    Stats->TotalSeconds =
-        Stats->WallSeconds - (E ? E->VirtualAdjust : 0.0);
-  }
+  S.WallSeconds = Total.seconds();
+  S.TotalSeconds = S.WallSeconds - (E ? E->VirtualAdjust : 0.0);
+  publishRun(S, LastFault);
   return Mem;
 }

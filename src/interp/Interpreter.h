@@ -255,12 +255,19 @@ struct RaceRecord {
   std::string str() const;
 };
 
-/// Per-run execution statistics. In simulated mode every time below is
-/// virtual time (wall time minus the serialized surplus of simulated
-/// parallel loops); in threaded/serial mode it equals wall time.
+/// Per-run execution statistics: the interpreter's only counter sink. Each
+/// runtime event is one increment of one field. Interpreter::run publishes
+/// the run's counts once, on the calling thread, to the --stats "interp",
+/// "dispatch" and "vm" counter groups, and fills FaultState's counters from
+/// the same fields — so the three reports cannot disagree.
+///
+/// In simulated mode every time below is virtual time (wall time minus the
+/// serialized surplus of simulated parallel loops); in threaded/serial mode
+/// it equals wall time.
 struct ExecStats {
   /// Seconds per labeled loop (accumulated over invocations, measured at
-  /// the outermost entry of that label).
+  /// the outermost entry of that label). Recorded only when the caller
+  /// passes an ExecStats to Interpreter::run.
   std::map<std::string, double> LoopSeconds;
   double TotalSeconds = 0;
   /// Actual wall-clock seconds of the run.
@@ -287,9 +294,9 @@ struct ExecStats {
   std::vector<RaceRecord> Races;
   unsigned RacesFound = 0;
 
-  /// Per-loop dispatch tier over serial-context loop invocations (the
-  /// --stats "dispatch" group mirrors these as global counters). The four
-  /// tiers partition every dispatch decision — one tier per invocation:
+  /// Per-loop dispatch tier over serial-context loop invocations (published
+  /// as the --stats "dispatch" group). The four tiers partition every
+  /// dispatch decision — one tier per invocation:
   /// static (parallel on a static proof, no inspection), conditional
   /// (decided by the runtime-check inspector, whichever way it fell),
   /// serial (no inspector consulted), replay (dispatched parallel but
@@ -325,6 +332,8 @@ struct ExecStats {
   unsigned WorkerFaults = 0;   ///< Faults trapped inside parallel workers.
   unsigned FaultRollbacks = 0; ///< Loop transactions rolled back.
   unsigned FaultReplays = 0;   ///< Serial replays executed after rollback.
+  unsigned FaultReplaysRecovered = 0; ///< Replays that completed cleanly
+                                      ///< (the fault was not reproduced).
   /// One FaultReplay remark per rolled-back parallel loop (capped at 64),
   /// stating the trapped fault and whether the serial replay recovered or
   /// reproduced it.
@@ -354,11 +363,12 @@ struct ExecStats {
 class RuntimeCaches;
 
 /// Runs \p P (starting at "main") against fresh memory; returns the final
-/// memory and fills \p Stats if given. An Interpreter may be reused across
-/// runs (a daemon session keeps one per cached program): its RuntimeCaches
-/// carry version-keyed verdicts between runs, which is sound because every
-/// run starts from fresh Memory whose version counters evolve
-/// deterministically.
+/// memory and fills \p Stats, if given, with this run's statistics only (a
+/// run without one still publishes its counters; see ExecStats). An
+/// Interpreter may be reused across runs (a daemon session keeps one per
+/// cached program): its RuntimeCaches carry version-keyed verdicts between
+/// runs, which is sound because every run starts from fresh Memory whose
+/// version counters evolve deterministically.
 class Interpreter {
 public:
   explicit Interpreter(const mf::Program &P);

@@ -57,6 +57,15 @@ private:
   unsigned Id;
 };
 
+/// Orders symbols by id(). Maps and sets keyed on Symbol pointers whose
+/// iteration order reaches a report use it: pointer order follows heap
+/// addresses, which change from one allocation to the next.
+struct SymbolIdLess {
+  bool operator()(const Symbol *A, const Symbol *B) const {
+    return A->id() < B->id();
+  }
+};
+
 } // namespace mf
 } // namespace iaa
 

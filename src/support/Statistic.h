@@ -17,10 +17,15 @@
 ///   ++bdfs_nodes_visited;
 /// \endcode
 ///
-/// Increments are relaxed atomics, safe from interpreter worker threads.
+/// Increments are relaxed atomics, safe from any thread.
 /// stat::resetAll() zeroes every counter so per-pipeline-run deltas can be
 /// measured (the mfpar --stats flag and the observability tests rely on
 /// this).
+///
+/// The interpreter's groups ("interp", "dispatch", "vm") are the exception
+/// to incrementing at the event site: the interpreter counts each runtime
+/// event in its per-run interp::ExecStats, and Interpreter::run publishes
+/// the run's counts here once, from the calling thread.
 ///
 /// Multi-tenant processes (the mfpard daemon) cannot share one registry of
 /// process-wide counters: request A's inspections would show up in request

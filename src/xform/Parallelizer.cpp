@@ -14,6 +14,7 @@
 #include "vm/Compiler.h"
 #include "xform/Passes.h"
 
+#include <algorithm>
 #include <optional>
 
 using namespace iaa;
@@ -218,7 +219,7 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
     deptest::LoopDepResult First = Dep.testLoop(L, {});
     Rep.PropertyQueries += First.PropertyQueries;
 
-    std::set<const Symbol *> NeedPriv;
+    std::set<const Symbol *, SymbolIdLess> NeedPriv;
     for (const auto &O : First.Arrays)
       if (!O.Independent)
         NeedPriv.insert(O.Array);
@@ -284,8 +285,11 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
         ScalarsOk = false;
       if (!Pv.Scalars.Carried.empty()) {
         ScalarsOk = false;
-        Rep.WhyNot = "scalar " + (*Pv.Scalars.Carried.begin())->name() +
-                     " carries a value between iterations";
+        const Symbol *First =
+            *std::min_element(Pv.Scalars.Carried.begin(),
+                              Pv.Scalars.Carried.end(), SymbolIdLess());
+        Rep.WhyNot =
+            "scalar " + First->name() + " carries a value between iterations";
       }
       Plan.PrivateScalars = Pv.Scalars.Private;
       Plan.Reductions = Pv.Scalars.Reductions;

@@ -75,7 +75,7 @@ struct Privatizer::ArrayState {
 struct Privatizer::Walker {
   Privatizer &Priv;
   const DoStmt *Target;
-  std::map<const Symbol *, ArrayState> &States;
+  std::map<const Symbol *, ArrayState, SymbolIdLess> &States;
   PrivatizationResult &Result;
 
   /// Overlay stack: Must[0] is the iteration level of the target loop.
@@ -90,7 +90,7 @@ struct Privatizer::Walker {
   std::map<const Symbol *, SymExpr> ScalarVals;
 
   Walker(Privatizer &Priv, const DoStmt *Target,
-         std::map<const Symbol *, ArrayState> &States,
+         std::map<const Symbol *, ArrayState, SymbolIdLess> &States,
          PrivatizationResult &Result)
       : Priv(Priv), Target(Target), States(States), Result(Result) {
     Priv.Consts.bindAll(Env);
@@ -737,8 +737,9 @@ PrivatizationResult Privatizer::analyze(const DoStmt *L) {
   PrivatizationResult Result;
   UseSet BodyU = Uses.bodyUses(L->body());
 
-  // Candidate arrays: rank-1 arrays written in the body.
-  std::map<const Symbol *, ArrayState> States;
+  // Candidate arrays: rank-1 arrays written in the body, in id order so
+  // the outcomes (and the report lines built from them) are too.
+  std::map<const Symbol *, ArrayState, SymbolIdLess> States;
   for (const Symbol *W : BodyU.Writes)
     if (W->isArray() && W->rank() == 1)
       States.emplace(W, ArrayState());
@@ -759,7 +760,7 @@ PrivatizationResult Privatizer::analyze(const DoStmt *L) {
   // UER walk for the remaining candidates.
   std::map<const Symbol *, bool> LastValue;
   {
-    std::map<const Symbol *, ArrayState> WalkStates;
+    std::map<const Symbol *, ArrayState, SymbolIdLess> WalkStates;
     for (auto &[X, St] : States)
       if (!StackPrivate.count(X))
         WalkStates.emplace(X, St);

@@ -103,6 +103,18 @@ check 6 "blown memory budget" "$MFPAR" "$TMP/big.mf" --run=2 --mem-limit-mb=1
 grep -q "resource-exhausted" "$TMP/err" ||
   { echo "FAIL: budget fault missing from stderr" >&2; FAILURES=$((FAILURES + 1)); }
 
+# Both checksum lines of a run skip dead privates, so the serial digest
+# must equal the parallel one it is compared against.
+"$MFPAR" --run=4 >"$TMP/out" 2>"$TMP/err"
+SERIAL=$(sed -n 's/^serial run: .*checksum \([-0-9.]*\).*/\1/p' "$TMP/out")
+PARALLEL=$(sed -n 's/^parallel run .*checksum \([-0-9.]*\).*/\1/p' "$TMP/out")
+if [ -z "$SERIAL" ] || [ "$SERIAL" != "$PARALLEL" ]; then
+  echo "FAIL: serial checksum '$SERIAL' but parallel '$PARALLEL'" >&2
+  FAILURES=$((FAILURES + 1))
+else
+  echo "ok: serial and parallel checksums agree ($SERIAL)"
+fi
+
 # --on-fault=abort keeps the legacy behavior: the driver aborts the
 # process (SIGABRT = 134 from sh) after printing the fault.
 "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=abort >"$TMP/out" 2>"$TMP/err"

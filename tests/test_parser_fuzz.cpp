@@ -30,10 +30,11 @@ namespace {
 void smoke(const std::string &Source) {
   DiagnosticEngine Diags;
   std::unique_ptr<mf::Program> P = mf::parseProgram(Source, Diags);
-  if (!P)
+  if (!P) {
     EXPECT_TRUE(Diags.hasErrors())
         << "parser returned null without recording an error for:\n"
         << Source;
+  }
 }
 
 TEST(ParserFuzz, HandcraftedMalformedPrograms) {

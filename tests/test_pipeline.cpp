@@ -17,20 +17,15 @@
 #include "xform/Parallelizer.h"
 #include "xform/Passes.h"
 
+#include <algorithm>
+#include <random>
+
 using namespace iaa;
 using namespace iaa::mf;
 using namespace iaa::xform;
 using iaa::test::parseOrDie;
 
 namespace {
-
-PipelineResult analyze(const std::string &Source, PipelineMode Mode) {
-  auto P = parseOrDie(Source);
-  PipelineResult R = parallelize(*P, Mode);
-  // Keep the program alive only for the duration: the reports hold Symbol
-  // pointers, so tests that need them must hold the program themselves.
-  return R;
-}
 
 bool loopParallel(const PipelineResult &R, const std::string &Label) {
   const LoopReport *Rep = R.reportFor(Label);
@@ -390,6 +385,76 @@ TEST(Pipeline, TrueArrayDependenceBlocks) {
   end)");
   PipelineResult R = parallelize(*P, PipelineMode::Full);
   EXPECT_FALSE(loopParallel(R, "rec")) << R.str();
+}
+
+//===----------------------------------------------------------------------===//
+// Determinism
+//===----------------------------------------------------------------------===//
+
+/// Several dependent arrays, several privatizable arrays, and two carried
+/// scalars: each report lists more than one symbol, and each serial reason
+/// must pick one of several candidates.
+const char *ManySymbols = R"(program t
+    integer i, j, n
+    real a(101), b(101), c(101), d(10), e(10), f(10), s, u
+    n = 100
+    init: do i = 1, n
+      a(i) = i * 0.5
+      b(i) = i * 0.25
+      c(i) = i * 0.125
+    end do
+    deps: do i = 2, n
+      a(i) = a(i - 1) + 1.0
+      b(i) = b(i - 1) * 0.5
+      c(i) = c(i - 1) + a(i)
+    end do
+    privs: do i = 1, n
+      do j = 1, 10
+        d(j) = i + j
+        e(j) = i * j
+        f(j) = i - j
+      end do
+      do j = 1, 10
+        c(i) = c(i) + d(j) + e(j) + f(j)
+      end do
+    end do
+    scal: do i = 1, n
+      s = s * 0.5 + a(i)
+      u = u * 2.0 + b(i)
+      c(i) = s + u
+    end do
+  end)";
+
+/// Frees blocks the size of an mf::Symbol in a seeded shuffled order, so the
+/// next program's symbols come back from the allocator at addresses that
+/// follow neither declaration order nor the previous program's.
+void scrambleSymbolHeap(unsigned Seed) {
+  std::vector<std::unique_ptr<char[]>> Blocks;
+  for (int K = 0; K < 64; ++K)
+    Blocks.push_back(std::make_unique<char[]>(sizeof(Symbol)));
+  std::mt19937 Rng(Seed);
+  std::shuffle(Blocks.begin(), Blocks.end(), Rng);
+  for (auto &B : Blocks)
+    B.reset();
+}
+
+TEST(PipelineDeterminism, ReportIndependentOfSymbolAddresses) {
+  for (PipelineMode Mode : {PipelineMode::Full, PipelineMode::NoIAA,
+                            PipelineMode::Apo}) {
+    std::string RefReport, RefRemarks;
+    for (unsigned Round = 0; Round < 8; ++Round) {
+      scrambleSymbolHeap(Round);
+      auto P = parseOrDie(ManySymbols);
+      PipelineResult R = parallelize(*P, Mode);
+      if (Round == 0) {
+        RefReport = R.str();
+        RefRemarks = remarksJsonl(R.Remarks);
+        continue;
+      }
+      EXPECT_EQ(R.str(), RefReport) << "round " << Round;
+      EXPECT_EQ(remarksJsonl(R.Remarks), RefRemarks) << "round " << Round;
+    }
+  }
 }
 
 } // namespace

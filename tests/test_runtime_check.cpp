@@ -24,6 +24,8 @@
 
 #include "interp/Inspector.h"
 #include "interp/Interpreter.h"
+#include "support/Statistic.h"
+#include "verify/FaultInjector.h"
 #include "verify/PlanAudit.h"
 #include "verify/PlanMutator.h"
 #include "xform/Parallelizer.h"
@@ -722,6 +724,145 @@ TEST(RuntimeCheckAudit, StrictModeStripsUncertifiedConditionalPlan) {
   recordAudit(R.Plan, A, AuditMode::Strict);
   EXPECT_EQ(R.Plan.conditionalPlanFor(L), nullptr)
       << "strict demotion must strip the conditional dispatch";
+}
+
+//===----------------------------------------------------------------------===//
+// Published counters: --stats, FaultState and ExecStats agree
+//===----------------------------------------------------------------------===//
+
+/// DuplicateScatter with scat inside a 3-trip serial loop: one fresh failing
+/// inspection, two cached failing verdicts, three serial fallbacks.
+const char *RepeatedDuplicateScatter = R"(program t
+    integer i, r, n
+    integer ind(1000)
+    real x(1000), y(1000)
+    n = 1000
+    init: do i = 1, n
+      ind(i) = mod(i * 7, 500) + 1
+      x(i) = i * 0.5
+      y(i) = mod(i, 9) * 0.25
+    end do
+    rep: do r = 1, 3
+      scat: do i = 1, n
+        x(ind(i)) = x(ind(i)) + y(i) * 0.5
+      end do
+    end do
+  end)";
+
+/// Every global counter the interpreter publishes, with the ExecStats field
+/// that counts the same event (interp_faults_trapped also counts a terminal
+/// fault, so it equals WorkerFaults only on runs that end cleanly).
+const std::pair<const char *, unsigned ExecStats::*> PublishedFields[] = {
+    {"interp_parallel_loop_runs", &ExecStats::ParallelLoopRuns},
+    {"interp_chunks_run", &ExecStats::ChunksRun},
+    {"interp_inspections_run", &ExecStats::InspectionsRun},
+    {"interp_inspections_cached", &ExecStats::InspectionsCached},
+    {"interp_runtime_check_fails", &ExecStats::RuntimeCheckFails},
+    {"interp_locality_model_picks", &ExecStats::LocalityModelPicks},
+    {"interp_locality_reorders", &ExecStats::LocalityReorders},
+    {"interp_locality_reorders_cached", &ExecStats::LocalityReordersCached},
+    {"interp_faults_trapped", &ExecStats::WorkerFaults},
+    {"interp_fault_rollbacks", &ExecStats::FaultRollbacks},
+    {"interp_fault_replays", &ExecStats::FaultReplays},
+    {"interp_fault_replays_recovered", &ExecStats::FaultReplaysRecovered},
+    {"dispatch_static", &ExecStats::DispatchStatic},
+    {"dispatch_conditional", &ExecStats::DispatchConditional},
+    {"dispatch_serial", &ExecStats::DispatchSerial},
+    {"dispatch_replay", &ExecStats::DispatchReplay},
+    {"vm_loops_compiled", &ExecStats::VmLoopsCompiled},
+    {"vm_bailouts", &ExecStats::VmBailouts},
+    {"vm_parallel_loop_runs", &ExecStats::VmParallelLoopRuns},
+    {"vm_chunks_run", &ExecStats::VmChunksRun},
+};
+
+uint64_t counter(const char *Name) {
+  const stat::Statistic *S = stat::find(Name);
+  EXPECT_NE(S, nullptr) << Name;
+  return S ? S->value() : 0;
+}
+
+/// Each published counter's value since the last stat::resetAll() equals
+/// its ExecStats field.
+void expectPublishedEqualsStats(const ExecStats &Stats) {
+  for (const auto &[Name, Field] : PublishedFields)
+    EXPECT_EQ(counter(Name), Stats.*Field) << Name;
+}
+
+TEST(RuntimeCheckCounters, SerialFallbacksCountedOncePerDecision) {
+  Harness R(RepeatedDuplicateScatter);
+  stat::resetAll();
+  ExecStats Stats = R.runChecked();
+  EXPECT_EQ(Stats.InspectionsRun, 1u);
+  EXPECT_EQ(Stats.InspectionsCached, 2u);
+  EXPECT_EQ(Stats.RuntimeCheckFails, 3u) << "one per serial fallback";
+  expectPublishedEqualsStats(Stats);
+  EXPECT_EQ(counter("interp_runs"), 1u);
+}
+
+TEST(RuntimeCheckCounters, InjectorSkippedInspectionIsPublished) {
+  Harness R(PermutationScatter);
+  verify::FaultInjector Inj;
+  Inj.skipInspectionOf("scat");
+  Interpreter I(*R.P);
+  ExecOptions Opts;
+  Opts.Plans = &R.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  Opts.Injector = &Inj;
+  stat::resetAll();
+  ExecStats Stats;
+  I.run(Opts, &Stats);
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_EQ(Stats.InspectionsRun, 1u);
+  expectPublishedEqualsStats(Stats);
+}
+
+TEST(RuntimeCheckCounters, FaultStateMatchesExecStatsOnReplayedFault) {
+  Harness R(PermutationScatter);
+  verify::FaultInjector Inj;
+  Inj.faultAt("scat", 500, /*ParallelOnly=*/true);
+  Interpreter I(*R.P);
+  ExecOptions Opts;
+  Opts.Plans = &R.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  Opts.Injector = &Inj;
+  stat::resetAll();
+  ExecStats Stats;
+  I.run(Opts, &Stats);
+  const FaultState &FS = I.faultState();
+  ASSERT_FALSE(FS.Faulted) << FS.str();
+  EXPECT_EQ(Stats.WorkerFaults, 1u);
+  EXPECT_EQ(Stats.FaultReplaysRecovered, 1u);
+  EXPECT_EQ(FS.FaultsObserved, Stats.WorkerFaults);
+  EXPECT_EQ(FS.Rollbacks, Stats.FaultRollbacks);
+  EXPECT_EQ(FS.Replays, Stats.FaultReplays);
+  EXPECT_EQ(FS.ReplaysRecovered, Stats.FaultReplaysRecovered);
+  expectPublishedEqualsStats(Stats);
+}
+
+TEST(RuntimeCheckCounters, RunWithoutStatsPublishesTheSameCounts) {
+  Harness R(RepeatedDuplicateScatter);
+  ExecOptions Opts;
+  Opts.Plans = &R.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  auto PublishedAfter = [&](ExecStats *Stats) {
+    Interpreter I(*R.P); // Fresh caches: both runs inspect alike.
+    stat::resetAll();
+    I.run(Opts, Stats);
+    std::vector<uint64_t> Values{counter("interp_runs")};
+    for (const auto &[Name, Field] : PublishedFields)
+      Values.push_back(counter(Name));
+    return Values;
+  };
+  ExecStats Stats;
+  const std::vector<uint64_t> With = PublishedAfter(&Stats);
+  EXPECT_EQ(PublishedAfter(nullptr), With);
+  expectPublishedEqualsStats(Stats);
 }
 
 } // namespace

@@ -253,9 +253,10 @@ TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
         std::string Ctx = B.Name + "/" + scheduleName(S) +
                           "/T=" + std::to_string(T);
         ExecStats Stats = H.runBoth(T, S, Ctx);
-        if (T > 1)
+        if (T > 1) {
           EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
               << Ctx << ": the VM engine never engaged";
+        }
       }
   }
 }
@@ -280,8 +281,9 @@ TEST(VmDifferential, ConditionalDispatchPassAndFail) {
         ExecStats Stats =
             H.runBoth(T, S, std::string("perm/") + scheduleName(S) +
                                 "/T=" + std::to_string(T));
-        if (T > 1)
+        if (T > 1) {
           EXPECT_GT(Stats.VmParallelLoopRuns, 0u);
+        }
       }
   }
   {
