@@ -18,10 +18,10 @@
 //   --run      execute the program (optionally in parallel with N threads)
 //   --schedule loop scheduling policy for parallel runs (default static)
 //   --chunk    chunk size for the scheduler (default: policy-dependent)
-//   --engine   execution engine for parallel loop bodies (default interp):
-//              vm compiles each certified loop body to register bytecode
-//              with fused gather/scatter superinstructions and runs the
-//              chunks through the VM (loops the compiler cannot lower keep
+//   --engine   execution engine for loop bodies (default interp): vm
+//              compiles parallel and serial loop bodies to register
+//              bytecode with fused gather/scatter superinstructions and runs
+//              them through the VM (loops the compiler cannot lower keep
 //              the tree walk); both runs the interpreter first as a
 //              reference, then the VM, and reports a fault if the final
 //              memory images or fault verdicts diverge
@@ -420,13 +420,16 @@ int main(int argc, char **argv) {
                                                    : "DIVERGES");
     if (Engine != interp::ExecEngine::Interp) {
       std::printf("engine (%s): %u loop%s compiled to bytecode, %u bailout%s "
-                  "to the tree walk, %u vm dispatch%s, %u vm chunk%s\n",
+                  "to the tree walk, %u vm dispatch%s, %u vm chunk%s, "
+                  "%u serial vm loop run%s\n",
                   interp::engineName(Engine), ParStats.VmLoopsCompiled,
                   ParStats.VmLoopsCompiled == 1 ? "" : "s",
                   ParStats.VmBailouts, ParStats.VmBailouts == 1 ? "" : "s",
                   ParStats.VmParallelLoopRuns,
                   ParStats.VmParallelLoopRuns == 1 ? "" : "es",
-                  ParStats.VmChunksRun, ParStats.VmChunksRun == 1 ? "" : "s");
+                  ParStats.VmChunksRun, ParStats.VmChunksRun == 1 ? "" : "s",
+                  ParStats.VmSerialLoopRuns,
+                  ParStats.VmSerialLoopRuns == 1 ? "" : "s");
       if (Engine == interp::ExecEngine::Both)
         std::printf("engine (both): %u differential comparison%s, "
                     "%u mismatch%s\n",

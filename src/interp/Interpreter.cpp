@@ -84,6 +84,9 @@ static ::iaa::stat::Statistic vm_parallel_loop_runs(
     "Parallel loop invocations executed on the bytecode VM");
 static ::iaa::stat::Statistic vm_chunks_run(
     "vm", "vm_chunks_run", "Iteration chunks executed as bytecode");
+static ::iaa::stat::Statistic vm_serial_loop_runs(
+    "vm", "vm_serial_loop_runs",
+    "Serial-dispatched loop invocations executed on the bytecode VM");
 
 namespace {
 
@@ -114,6 +117,7 @@ const PublishedCounter Published[] = {
     {vm_bailouts, &ExecStats::VmBailouts},
     {vm_parallel_loop_runs, &ExecStats::VmParallelLoopRuns},
     {vm_chunks_run, &ExecStats::VmChunksRun},
+    {vm_serial_loop_runs, &ExecStats::VmSerialLoopRuns},
 };
 
 /// Publishes one run's counts in \p S to the global counters, and so to
@@ -376,19 +380,21 @@ namespace interp {
 ///
 /// Soundness across runs: every run starts from a fresh Memory whose
 /// version counters evolve deterministically for a fixed program and option
-/// set, so version-keyed entries (inspection verdicts, locality
+/// set and engine, so version-keyed entries (inspection verdicts, locality
 /// permutations) hit exactly when the inspected data is bit-identical to
-/// the run that populated them. The purely structural memos (body weights,
-/// write sets, bytecode, model picks) depend only on the AST.
+/// the run that populated them. The structural memos (body weights, write
+/// sets, bytecode, model picks, nested plans) depend on the AST and plans.
 class RuntimeCaches {
 public:
   /// Static body-weight estimates for the profitability guard.
   std::map<const mf::DoStmt *, int64_t> BodyWeights;
 
   /// Cached inspection verdict for one runtime-conditional loop, valid
-  /// while the bounds and every inspected array's version are unchanged.
+  /// while the engine (engines bump versions at different rates, see
+  /// Buffer::Version), the bounds and every inspected version are unchanged.
   struct InspectionEntry {
     bool Pass = false;
+    ExecEngine Engine = ExecEngine::Interp;
     int64_t Lo = 0, Up = 0;
     std::vector<std::pair<unsigned, uint64_t>> Versions;
     std::string Detail;
@@ -404,9 +410,10 @@ public:
   std::map<const mf::DoStmt *, ModelEntry> ModelCache;
   std::optional<sched::GatherFootprintModel> Model;
 
-  /// Cached locality permutation for one conditional loop, valid while the
-  /// bounds and every checked array's version are unchanged.
+  /// Cached locality permutation for one conditional loop, keyed like
+  /// InspectionEntry.
   struct ReorderEntry {
+    ExecEngine Engine = ExecEngine::Interp;
     int64_t Lo = 0, Up = 0;
     std::vector<std::pair<unsigned, uint64_t>> Versions;
     std::shared_ptr<const std::vector<int64_t>> Order;
@@ -416,6 +423,8 @@ public:
 
   /// Memoized per-loop write sets for post-join version bumps.
   std::map<const mf::DoStmt *, std::vector<const mf::Symbol *>> LoopWriteSets;
+  /// Per loop: does its body nest a planned loop (see nestsPlan)?
+  std::map<const mf::DoStmt *, bool> NestsPlan;
   std::optional<analysis::SymbolUses> UsesForVersions;
 
   /// Compiled-bytecode store. Private by default; the daemon's artifact
@@ -607,7 +616,7 @@ private:
 
   /// Cooperative deadline poll: raises a DeadlineExceeded fault once the
   /// run's cancel token fired. Polled at iteration granularity in every
-  /// execution loop (and at chunk granularity on the VM engine), so a blown
+  /// execution loop (the VM polls its own copy of the token), so a blown
   /// deadline unwinds through the same containment machinery as any other
   /// runtime fault — workers drain, the transaction rolls back, and the
   /// caller gets a structured fault instead of a wedged thread. A no-op
@@ -684,6 +693,76 @@ private:
     if (C.VmSeen.insert(DS).second)
       ++(R.Ok ? Stats.VmLoopsCompiled : Stats.VmBailouts);
     return R.Ok ? &R.Prog : nullptr;
+  }
+
+  /// The bytecode for a serial-dispatched invocation of \p DS, or null when
+  /// it must tree-walk: a non-unit step, parallel or replay context, race
+  /// checking, or a body nesting a planned loop (the VM inlines nested
+  /// loops and calls, which would swallow that loop's own dispatch).
+  const vm::LoopProgram *serialVmProgramFor(const DoStmt *DS, int64_t Step,
+                                            const Frame &F) {
+    if (Opts.Engine != ExecEngine::Vm || Step != 1 || F.InParallel ||
+        F.InReplay || Opts.RaceCheck)
+      return nullptr;
+    if (Opts.Plans) {
+      auto [It, Inserted] = C.NestsPlan.try_emplace(DS);
+      if (Inserted)
+        It->second = nestsPlan(DS->body(), 0);
+      if (It->second)
+        return nullptr;
+    }
+    return vmProgramFor(DS, nullptr);
+  }
+
+  /// True when \p Body holds a do loop with a parallel or conditional plan,
+  /// directly or through resolved calls (not followed past the VM's inline
+  /// depth, where compilation bails anyway).
+  bool nestsPlan(const StmtList &Body, int Depth) {
+    bool Found = false;
+    Program::forEachStmtIn(Body, [&](Stmt *S) {
+      const auto *D = dyn_cast<DoStmt>(S);
+      const auto *CS = dyn_cast<CallStmt>(S);
+      Found = Found ||
+              (D && (Opts.Plans->planFor(D) ||
+                     Opts.Plans->conditionalPlanFor(D))) ||
+              (CS && CS->callee() && Depth < vm::MaxInlineDepth &&
+               nestsPlan(CS->callee()->body(), Depth + 1));
+    });
+    return Found;
+  }
+
+  /// The one range executor of serial loops, parallel chunks and replays:
+  /// runs \p DS's body at positions First, First + Step, ... up to Last in
+  /// \p F's context, each mapped through \p Order (indexed from Lo) if set;
+  /// returns the highest iteration run. \p VmProg runs it as bytecode (unit
+  /// step only), else it tree-walks. Each loop the bytecode inlines counts
+  /// as a serial-tier dispatch, as it would on the tree walk.
+  int64_t runRange(const DoStmt *DS, int64_t Lo, int64_t First, int64_t Last,
+                   int64_t Step, const std::vector<int64_t> *Order, Frame &F,
+                   const vm::LoopProgram *VmProg) {
+    if (VmProg)
+      return vm::runChunk(
+          *VmProg,
+          {.Mem = &Mem, .Overrides = F.Overrides, .Order = Order, .Lo = Lo,
+           .First = First, .Last = Last, .Worker = F.Worker,
+           .InParallel = F.InParallel, .Injector = Opts.Injector,
+           .Cancel = Cancel,
+           .LoopsEntered = F.InParallel ? nullptr : &Stats.DispatchSerial,
+           .Rec = ProfCur, .ProfSkip = &F.ProfSkip});
+    LoopCtxGuard Ctx(F);
+    F.CurLoop = DS;
+    int64_t MaxIter = INT64_MIN;
+    for (int64_t Pos = First; Step > 0 ? Pos <= Last : Pos >= Last;
+         Pos += Step) {
+      int64_t I = Order ? (*Order)[size_t(Pos - Lo)] : Pos;
+      F.CurIter = I;
+      checkCancel(DS->loc(), F);
+      checkInjection(DS, I, F);
+      setScalar(DS->indexVar(), I, F);
+      execBody(DS->body(), F);
+      MaxIter = std::max(MaxIter, I);
+    }
+    return MaxIter;
   }
 
   /// The fork/join pool for a \p T-worker dispatch: the shared pool when
@@ -1145,17 +1224,16 @@ private:
           Rec->Detail = "below the parallel profitability threshold";
         }
       }
-      LoopCtxGuard Ctx(F);
-      F.CurLoop = DS;
-      for (int64_t I = Lo; Step > 0 ? I <= Up : I >= Up; I += Step) {
-        F.CurIter = I;
-        checkCancel(DS->loc(), F);
-        checkInjection(DS, I, F);
-        setScalar(DS->indexVar(), I, F);
-        execBody(DS->body(), F);
+      const vm::LoopProgram *VmProg = serialVmProgramFor(DS, Step, F);
+      if (Rec && VmProg)
+        Rec->Engine = "vm";
+      runRange(DS, Lo, Lo, Up, Step, nullptr, F, VmProg);
+      // The VM skips the per-write version bumps; bump the write set once.
+      if (VmProg) {
+        ++Stats.VmSerialLoopRuns;
+        bumpWriteSetVersions(DS);
       }
-      setScalar(DS->indexVar(),
-                NIter > 0 ? Lo + NIter * Step : Lo, F);
+      setScalar(DS->indexVar(), NIter > 0 ? Lo + NIter * Step : Lo, F);
       return;
     }
 
@@ -1274,21 +1352,10 @@ private:
     auto RunChunk = [&](unsigned W, int64_t First, int64_t Last,
                         unsigned ChunkId) {
       trace::TraceScope ChunkSpan("chunk", "interp");
-      // Chunk-granularity deadline poll: covers the VM engine (whose chunk
-      // bodies cannot poll) and turns the dispenser drain a fired token
-      // causes into a structured fault instead of a silent partial run.
-      if (Cancel && Cancel->cancelled()) {
-        Frame FC;
-        FC.InParallel = true;
-        FC.CurLoop = DS;
-        FC.CurIter = First;
-        FC.Worker = W;
-        checkCancel(DS->loc(), FC);
-      }
       double ProfStartUs = Rec ? Rec->nowUs() : 0.0;
       Timer CT;
       WorkerState &WS = Workers[W];
-      int64_t MaxIter = WS.Ran ? WS.LastIter : INT64_MIN;
+      int64_t PrevMax = WS.Ran ? WS.LastIter : INT64_MIN;
       if (!WS.Ran) {
         BuildPrivates(W);
         WS.Ran = true;
@@ -1298,41 +1365,17 @@ private:
       // permutation pins original Up to the last position, so the worker
       // holding the final chunk runs Up temporally last — last-value
       // semantics survive (see interp::buildIterationReorder).
-      if (VmProg) {
-        vm::ChunkContext VC;
-        VC.Mem = &Mem;
-        VC.Overrides = &WS.Overrides;
-        VC.Order = Order.get();
-        VC.Lo = Lo;
-        VC.First = First;
-        VC.Last = Last;
-        VC.Worker = W;
-        VC.Injector = Opts.Injector;
-        VC.Rec = ProfCur;
-        VC.ProfSkip = &WS.ProfSkip;
-        MaxIter = std::max(MaxIter, vm::runChunk(*VmProg, VC));
-      } else {
-        Frame FW;
-        FW.Overrides = &WS.Overrides;
-        FW.InParallel = true;
-        FW.CurLoop = DS;
-        FW.Worker = W;
-        FW.ProfSkip = WS.ProfSkip;
-        for (int64_t Pos = First; Pos <= Last; ++Pos) {
-          int64_t I = Order ? (*Order)[size_t(Pos - Lo)] : Pos;
-          FW.CurIter = I;
-          checkCancel(DS->loc(), FW);
-          checkInjection(DS, I, FW);
-          setScalar(DS->indexVar(), I, FW);
-          execBody(DS->body(), FW);
-          MaxIter = std::max(MaxIter, I);
-        }
-        WS.ProfSkip = FW.ProfSkip;
-      }
+      Frame FW;
+      FW.Overrides = &WS.Overrides;
+      FW.InParallel = true;
+      FW.Worker = W;
+      FW.ProfSkip = WS.ProfSkip;
+      WS.LastIter = std::max(
+          PrevMax, runRange(DS, Lo, First, Last, 1, Order.get(), FW, VmProg));
+      WS.ProfSkip = FW.ProfSkip;
       double Secs = CT.seconds();
       if (Rec)
         Rec->noteChunk(W, ChunkId, First, Last, ProfStartUs, Secs * 1e6);
-      WS.LastIter = MaxIter;
       ++WS.Chunks;
       WS.SecondsSum += Secs;
       WS.SecondsMax = std::max(WS.SecondsMax, Secs);
@@ -1481,16 +1524,9 @@ private:
         Rec->Kind = prof::DispatchKind::Replay;
       Frame FR = F;
       FR.InReplay = true;
-      FR.CurLoop = DS;
       Timer ReplayTimer;
       try {
-        for (int64_t I = Lo; I <= Up; ++I) {
-          FR.CurIter = I;
-          checkCancel(DS->loc(), FR);
-          checkInjection(DS, I, FR);
-          setScalar(DS->indexVar(), I, FR);
-          execBody(DS->body(), FR);
-        }
+        runRange(DS, Lo, Lo, Up, 1, nullptr, FR, nullptr);
       } catch (FaultException &FE) {
         if (Rec) {
           Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
@@ -1661,7 +1697,8 @@ private:
 
     auto [It, Inserted] = C.InspectionCache.try_emplace(DS);
     RuntimeCaches::InspectionEntry &E = It->second;
-    if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
+    if (!Inserted && E.Engine == Opts.Engine && E.Lo == Lo && E.Up == Up &&
+        E.Versions == Versions) {
       recordDecision(DS, /*Cached=*/true, E.Pass, E.Detail);
       if (DetailOut)
         *DetailOut = E.Detail;
@@ -1687,6 +1724,7 @@ private:
         break;
       }
     }
+    E.Engine = Opts.Engine;
     E.Lo = Lo;
     E.Up = Up;
     E.Versions = std::move(Versions);
@@ -1765,13 +1803,15 @@ private:
 
     auto [It, Inserted] = C.ReorderCache.try_emplace(DS);
     RuntimeCaches::ReorderEntry &E = It->second;
-    if (!Inserted && E.Lo == Lo && E.Up == Up && E.Versions == Versions) {
+    if (!Inserted && E.Engine == Opts.Engine && E.Lo == Lo && E.Up == Up &&
+        E.Versions == Versions) {
       ++Stats.LocalityReordersCached;
       return E.Order;
     }
 
     ReorderOutcome O =
         buildIterationReorder(*Check, Mem, Lo, Up, sched::DefaultLineElems);
+    E.Engine = Opts.Engine;
     E.Lo = Lo;
     E.Up = Up;
     E.Versions = std::move(Versions);

@@ -57,8 +57,9 @@ struct Buffer {
   mf::ScalarKind Kind = mf::ScalarKind::Int;
   std::vector<int64_t> I;
   std::vector<double> D;
-  /// Bumped on every serial-context write and once per parallel loop that
-  /// writes the symbol. Keys the inspector's verdict cache: a runtime-check
+  /// Bumped on every tree-walked serial-context write and once per parallel
+  /// or VM-run serial loop that may write the symbol. Keys the inspector's
+  /// verdict cache (per engine): a runtime-check
   /// verdict stays valid while the versions of every inspected index array
   /// are unchanged.
   uint64_t Version = 0;
@@ -111,13 +112,15 @@ private:
 /// (privatized arrays of parallel loops).
 std::set<unsigned> deadPrivateIds(const xform::PipelineResult &Plans);
 
-/// Which engine executes the bodies of parallel-dispatched loops. Serial
-/// code, serial fallbacks, race-checked loops, and fault replays always run
-/// on the tree-walking interpreter — it is the semantic reference.
+/// Which engine executes do-loop bodies. Straight-line code outside loops,
+/// race-checked loops, and fault replays always run on the tree-walking
+/// interpreter — it is the semantic reference.
 enum class ExecEngine {
   Interp, ///< Tree-walk everything (the reference engine).
-  Vm,     ///< Parallel chunks run compiled register bytecode (vm/Vm.h);
-          ///< loops the bytecode compiler bails on fall back to the
+  Vm,     ///< Parallel chunks and serial-dispatched unit-step loops run
+          ///< compiled register bytecode (vm/Vm.h). Loops the bytecode
+          ///< compiler bails on, and serial loops nesting a planned loop
+          ///< (whose dispatch the inlining would swallow), fall back to the
           ///< tree walk per loop.
   Both,   ///< Differential oracle: run the whole program twice — once per
           ///< engine — and compare final-memory checksums (or fault kinds
@@ -204,10 +207,10 @@ struct ExecOptions {
   /// session. Observation only: program results are bit-identical with
   /// profiling on or off.
   prof::Session *Prof = nullptr;
-  /// Engine for parallel-dispatched loop bodies (see ExecEngine). Interp
-  /// is the reference tree walk; Vm lowers eligible certified loops to
-  /// register bytecode (bailing back to the tree walk per loop); Both runs
-  /// the program on each engine and checks bit-identical results.
+  /// Engine for loop bodies (see ExecEngine). Interp is the reference tree
+  /// walk; Vm lowers eligible loops to register bytecode (bailing back to
+  /// the tree walk per loop); Both runs the program on each engine and
+  /// checks bit-identical results.
   ExecEngine Engine = ExecEngine::Interp;
   /// Cooperative cancellation (request deadlines). When set, the
   /// interpreter polls the token at iteration and chunk boundaries; a fired
@@ -346,6 +349,8 @@ struct ExecStats {
   unsigned VmParallelLoopRuns = 0; ///< Parallel invocations executed on
                                    ///< the VM (subset of ParallelLoopRuns).
   unsigned VmChunksRun = 0; ///< Chunks executed as bytecode.
+  unsigned VmSerialLoopRuns = 0; ///< Serial-dispatched invocations executed
+                                 ///< on the VM.
   /// Differential oracle (Engine == Both): whole-program interp-vs-VM
   /// comparisons made and how many diverged (a divergence also surfaces as
   /// an Internal fault in Interpreter::faultState).

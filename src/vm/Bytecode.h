@@ -161,6 +161,7 @@ struct LoopProgram {
   const mf::DoStmt *Loop = nullptr;
   std::vector<Instr> Code; ///< One iteration's body; terminated by Halt.
   std::vector<SlotInfo> Slots;
+  /// Ctxs[0] attributes the loop's own iterations (deadline, injection).
   std::vector<FaultCtx> Ctxs;
   unsigned NumIntRegs = 0;
   unsigned NumRealRegs = 0;

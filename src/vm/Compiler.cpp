@@ -22,10 +22,6 @@ using namespace iaa::vm;
 
 namespace {
 
-/// Calls nest through globals only, so a cycle is the one way inlining can
-/// diverge; real MF programs in this repo nest one or two levels deep.
-constexpr int MaxInlineDepth = 8;
-
 /// Thrown to abandon a lowering attempt; caught at the compileLoop boundary
 /// and turned into CompileResult::Bailout.
 struct Bailout {
@@ -166,6 +162,7 @@ public:
     P.IndexSlot = slotOf(Root->indexVar());
     LoopStack.push_back(
         {Root->label().empty() ? "<unlabeled>" : Root->label(), P.IterReg});
+    ctxAt(Root->loc());
     compileBody(Root->body(), 0);
     emit(Op::Halt);
     P.NumIntRegs = NextI;

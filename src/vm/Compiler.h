@@ -35,6 +35,10 @@
 namespace iaa {
 namespace vm {
 
+/// Deepest call chain the compiler inlines; deeper chains bail. Calls nest
+/// through globals only, so a cycle is the one way inlining can diverge.
+constexpr int MaxInlineDepth = 8;
+
 /// Outcome of one lowering attempt: a runnable program, or the reason the
 /// loop must stay on the interpreter.
 struct CompileResult {

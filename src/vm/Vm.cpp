@@ -29,19 +29,30 @@ struct ResolvedSlot {
   size_t Size = 0;
 };
 
-/// The per-chunk execution state. A plain struct (not the exported entry
+/// Per-thread register files and slot table, reused so short invocations
+/// allocate nothing (bytecode never calls out, so runChunk cannot re-enter).
+struct Scratch {
+  std::vector<ResolvedSlot> Slots;
+  std::vector<int64_t> RI;
+  std::vector<double> RD;
+};
+thread_local Scratch PerThread;
+
+/// The per-range execution state. A plain struct (not the exported entry
 /// point) so fault raising can see the register files for iteration
 /// attribution.
 struct Machine {
   const LoopProgram &Prog;
   const ChunkContext &C;
-  std::vector<ResolvedSlot> Slots;
-  std::vector<int64_t> RI;
-  std::vector<double> RD;
+  ResolvedSlot *Slots;
+  int64_t *RI;
+  double *RD;
 
-  Machine(const LoopProgram &Prog, const ChunkContext &C)
-      : Prog(Prog), C(C), RI(Prog.NumIntRegs), RD(Prog.NumRealRegs) {
-    Slots.reserve(Prog.Slots.size());
+  Machine(const LoopProgram &Prog, const ChunkContext &C) : Prog(Prog), C(C) {
+    Scratch &T = PerThread;
+    T.RI.assign(Prog.NumIntRegs, 0);
+    T.RD.assign(Prog.NumRealRegs, 0.0);
+    T.Slots.clear();
     for (const SlotInfo &S : Prog.Slots) {
       Buffer *B = nullptr;
       if (C.Overrides) {
@@ -55,8 +66,11 @@ struct Machine {
       R.I = B->I.data();
       R.D = B->D.data();
       R.Size = B->size();
-      Slots.push_back(R);
+      T.Slots.push_back(R);
     }
+    Slots = T.Slots.data();
+    RI = T.RI.data();
+    RD = T.RD.data();
   }
 
   /// Raises a structured fault with the same attribution the tree walk
@@ -74,7 +88,7 @@ struct Machine {
     RF.HasIteration = true;
     RF.Iteration = RI[FC.IterReg];
     RF.Worker = C.Worker;
-    RF.InParallel = true;
+    RF.InParallel = C.InParallel;
     if (Sym)
       RF.Var = Sym->name();
     RF.HasValue = HasValue;
@@ -111,32 +125,20 @@ struct Machine {
                                       Slots[Slot].Size, IsWrite, C.Worker);
     };
 
-    const std::string RootLoop =
-        Prog.Loop->label().empty() ? "<unlabeled>" : Prog.Loop->label();
     const Instr *Code = Prog.Code.data();
     int64_t MaxIter = std::numeric_limits<int64_t>::min();
 
     for (int64_t Pos = C.First; Pos <= C.Last; ++Pos) {
       int64_t Iter = C.Order ? (*C.Order)[Pos - C.Lo] : Pos;
-
-      if (C.Injector) {
-        if (auto Inj = C.Injector->atIteration(Prog.Loop, Iter, C.Worker,
-                                               /*InParallel=*/true)) {
-          RuntimeFault RF;
-          RF.Kind = Inj->Kind;
-          RF.Loc = Prog.Loop->loc();
-          RF.Range = SourceRange(RF.Loc);
-          RF.Loop = RootLoop;
-          RF.HasIteration = true;
-          RF.Iteration = Iter;
-          RF.Worker = C.Worker;
-          RF.InParallel = true;
-          RF.Detail = Inj->Detail;
-          throw FaultException(std::move(RF));
-        }
-      }
-
       RI[Prog.IterReg] = Iter;
+      // The tree walk's per-iteration polls, attributed to the loop itself.
+      if (C.Cancel && C.Cancel->cancelled())
+        fault(0, FaultKind::DeadlineExceeded,
+              "wall-clock deadline exceeded; run cancelled");
+      if (C.Injector)
+        if (auto Inj = C.Injector->atIteration(Prog.Loop, Iter, C.Worker,
+                                               C.InParallel))
+          fault(0, Inj->Kind, Inj->Detail);
       Slots[Prog.IndexSlot].I[0] = Iter;
 
       size_t Pc = 0;
@@ -395,6 +397,8 @@ struct Machine {
             Pc = size_t(In.Imm);
           break;
         case Op::LoopTest:
+          if (C.LoopsEntered)
+            ++*C.LoopsEntered;
           if (RI[In.C] > 0 ? RI[In.A] > RI[In.B] : RI[In.A] < RI[In.B])
             Pc = size_t(In.Imm);
           break;

@@ -62,6 +62,11 @@ end
 EOF
 
 check 0 "clean analyze+run" "$MFPAR" "$TMP/good.mf" --run=2
+# lp is below the parallel profitability threshold, so it runs serially;
+# under --engine=vm as bytecode, and the engine line counts it.
+check 0 "vm engine run" "$MFPAR" "$TMP/good.mf" --run=2 --engine=vm
+grep -q ", 1 serial vm loop run$" "$TMP/out" ||
+  { echo "FAIL: engine line lacks the serial vm loop run" >&2; FAILURES=$((FAILURES + 1)); }
 check 1 "missing input file" "$MFPAR" "$TMP/does-not-exist.mf"
 check 2 "unknown flag" "$MFPAR" --no-such-flag
 check 2 "bad --on-fault value" "$MFPAR" --on-fault=bogus

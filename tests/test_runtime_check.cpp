@@ -773,6 +773,7 @@ const std::pair<const char *, unsigned ExecStats::*> PublishedFields[] = {
     {"vm_bailouts", &ExecStats::VmBailouts},
     {"vm_parallel_loop_runs", &ExecStats::VmParallelLoopRuns},
     {"vm_chunks_run", &ExecStats::VmChunksRun},
+    {"vm_serial_loop_runs", &ExecStats::VmSerialLoopRuns},
 };
 
 uint64_t counter(const char *Name) {
@@ -840,6 +841,27 @@ TEST(RuntimeCheckCounters, FaultStateMatchesExecStatsOnReplayedFault) {
   EXPECT_EQ(FS.Rollbacks, Stats.FaultRollbacks);
   EXPECT_EQ(FS.Replays, Stats.FaultReplays);
   EXPECT_EQ(FS.ReplaysRecovered, Stats.FaultReplaysRecovered);
+  expectPublishedEqualsStats(Stats);
+}
+
+TEST(RuntimeCheckCounters, VmSerialLoopRunsArePublished) {
+  // Under --engine=vm the serial init loop runs as bytecode; rep nests the
+  // conditional scat, so it stays on the tree walk and scat still
+  // dispatches (and falls back) once per rep iteration.
+  Harness R(RepeatedDuplicateScatter);
+  Interpreter I(*R.P);
+  ExecOptions Opts;
+  Opts.Plans = &R.Plan;
+  Opts.Threads = 4;
+  Opts.MinParallelWork = 0;
+  Opts.RuntimeChecks = true;
+  Opts.Engine = ExecEngine::Vm;
+  stat::resetAll();
+  ExecStats Stats;
+  I.run(Opts, &Stats);
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_GT(Stats.VmSerialLoopRuns, 0u);
+  EXPECT_EQ(Stats.RuntimeCheckFails, 3u);
   expectPublishedEqualsStats(Stats);
 }
 

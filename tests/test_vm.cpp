@@ -11,8 +11,11 @@
 /// every schedule x thread-count combination, on the Fig. 16 benchmark
 /// reconstructions, the recurrence-promoted kernels, conditional-dispatch
 /// loops (inspection pass and fail), a locality-reordered dispatch, and a
-/// mid-chunk fault with rollback + serial replay. Compiler-level tests pin
-/// the fusion peepholes and the bailout taxonomy.
+/// mid-chunk fault with rollback + serial replay. Serial-dispatched loops
+/// run on the VM too: their fault attribution, deadline polling, dispatch
+/// accounting and the engine-keyed verdict cache are pinned against the
+/// tree walk. Compiler-level tests pin the fusion peepholes and the bailout
+/// taxonomy.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -23,13 +26,16 @@
 
 #include "benchprogs/Benchmarks.h"
 #include "interp/Interpreter.h"
+#include "prof/Profiler.h"
 #include "verify/FaultInjector.h"
 #include "vm/Bytecode.h"
 #include "vm/Compiler.h"
 #include "xform/Parallelizer.h"
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 
 using namespace iaa;
 using namespace iaa::interp;
@@ -256,6 +262,11 @@ TEST(VmDifferential, Fig16BenchmarksBitIdenticalEverywhere) {
         if (T > 1) {
           EXPECT_GT(Stats.VmParallelLoopRuns, 0u)
               << Ctx << ": the VM engine never engaged";
+        }
+        // At T=1 every loop dispatches serially, so the oracle compares
+        // serial loops run as bytecode too.
+        if (T == 1) {
+          EXPECT_GT(Stats.VmSerialLoopRuns, 0u) << Ctx;
         }
       }
   }
@@ -492,6 +503,336 @@ TEST(VmFault, GenuineFaultIdenticalAttributionAcrossEngines) {
     EXPECT_EQ(FS.Fault.Bound, 1000) << Ctx;
     EXPECT_EQ(FS.Rollbacks, 1u) << Ctx;
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Serial-dispatched loops on the VM
+//===----------------------------------------------------------------------===//
+
+/// A SPARK00-shaped program like the sparse_large benchmark workload, at
+/// 4096-element index arrays: CRS SpMV gather, fused CCS build plus Fig. 3
+/// segment loop, prefix-sum scatter, a permutation scatter swept four times
+/// inside a serial loop, and a duplicate-index scatter whose inspection
+/// fails.
+std::string sparseLargeShaped() {
+  const long N = 4096, NR = N / 4, NC = N / 4;
+  long NNZ = 0, NNZC = 0;
+  for (long I = 1; I <= NR; ++I)
+    NNZ += (I * 3 + 5) % 7 + 1;
+  for (long J = 1; J <= NC; ++J)
+    NNZC += (J * 5 + 1) % 7 + 1;
+  auto S = [](long V) { return std::to_string(V); };
+  return "program spark\n"
+         "  integer i, j, k, r, n, nr, nc, p\n"
+         "  integer rowptr(" + S(NR + 1) + "), colidx(" + S(NNZ) +
+         "), colcnt(" + S(NC) + "), colptr(" + S(NC + 1) + ")\n"
+         "  integer pos(" + S(N) + "), perm(" + S(N) + "), dup(" + S(N) +
+         ")\n"
+         "  real a(" + S(NNZ) + "), xv(" + S(NC) + "), y(" + S(NR) +
+         "), v(" + S(NNZC) + "), x(" + S(3 * N) + ")\n"
+         "  real w(" + S(N) + "), z(" + S(N) + "), q(" + S(N) + ")\n"
+         "  real s\n"
+         "  n = " + S(N) + "\n"
+         "  nr = " + S(NR) + "\n"
+         "  nc = " + S(NC) + "\n"
+         "  rowptr(1) = 1\n"
+         "  rows: do i = 1, nr\n"
+         "    rowptr(i + 1) = rowptr(i) + mod(i * 3 + 5, 7) + 1\n"
+         "  end do\n"
+         "  cols: do k = 1, " + S(NNZ) + "\n"
+         "    colidx(k) = mod(k * 389 + 17, nc) + 1\n"
+         "    a(k) = mod(k, 13) * 0.125 + 0.5\n"
+         "  end do\n"
+         "  xinit: do j = 1, nc\n"
+         "    xv(j) = mod(j * 3, 11) * 0.25\n"
+         "  end do\n"
+         "  spmv: do i = 1, nr\n"
+         "    s = 0.0\n"
+         "    do k = rowptr(i), rowptr(i + 1) - 1\n"
+         "      s = s + a(k) * xv(colidx(k))\n"
+         "    end do\n"
+         "    y(i) = s\n"
+         "  end do\n"
+         "  colptr(1) = 1\n"
+         "  ccs: do j = 1, nc\n"
+         "    colcnt(j) = mod(j * 5 + 1, 7) + 1\n"
+         "    colptr(j + 1) = colptr(j) + colcnt(j)\n"
+         "  end do\n"
+         "  vinit: do k = 1, " + S(NNZC) + "\n"
+         "    v(k) = mod(k, 17) * 0.0625\n"
+         "  end do\n"
+         "  seg: do j = 1, nc\n"
+         "    do k = 1, colcnt(j)\n"
+         "      v(colptr(j) + k - 1) = v(colptr(j) + k - 1) * 1.0625 + xv(j)\n"
+         "    end do\n"
+         "  end do\n"
+         "  winit: do i = 1, n\n"
+         "    w(i) = mod(i * 5, 19) * 0.125\n"
+         "    perm(i) = mod(i * 1237 + 11, n) + 1\n"
+         "    dup(i) = mod(i * 77 + 3, " + S(N / 2) + ") + 1\n"
+         "  end do\n"
+         "  p = 0\n"
+         "  pfx: do i = 1, n\n"
+         "    p = p + mod(i * 2 + 7, 3) + 1\n"
+         "    pos(i) = p\n"
+         "  end do\n"
+         "  scat: do i = 1, n\n"
+         "    x(pos(i)) = x(pos(i)) + w(i) * 0.5\n"
+         "  end do\n"
+         "  sweep: do r = 1, 4\n"
+         "    pscat: do i = 1, n\n"
+         "      z(perm(i)) = z(perm(i)) * 0.5 + w(i)\n"
+         "    end do\n"
+         "  end do\n"
+         "  dscat: do i = 1, n\n"
+         "    q(dup(i)) = q(dup(i)) + w(i)\n"
+         "  end do\n"
+         "end\n";
+}
+
+TEST(VmDifferential, DispatchPartitionMatchesTreeWalk) {
+  // The VM inlines the nested loops of a serial loop it runs; each still
+  // counts as one serial-tier dispatch, so the dispatch partition and the
+  // inspection counts cannot depend on the engine.
+  const char *NestedSerial = R"(program t
+    integer i, j, n
+    real x(100), y(100)
+    n = 100
+    x(1) = 1.0
+    outer: do i = 2, n
+      x(i) = x(i - 1) * 0.5 + 1.0
+      inner: do j = 2, 10
+        y(j) = y(j - 1) + x(i)
+      end do
+    end do
+  end)";
+  std::vector<std::pair<std::string, std::string>> Programs = {
+      {"sparse_large", sparseLargeShaped()}, {"nested", NestedSerial}};
+  for (const auto &B : benchprogs::allBenchmarks(0.05))
+    Programs.emplace_back(B.Name, B.Source);
+  for (const auto &[Name, Source] : Programs) {
+    Harness H(Source);
+    ExecStats ByEngine[2];
+    double Checksum[2];
+    for (unsigned K = 0; K < 2; ++K) {
+      Interpreter I(*H.P);
+      ExecOptions Opts = H.baseOptions(
+          4, Schedule::Static, K ? ExecEngine::Vm : ExecEngine::Interp);
+      Opts.Locality = sched::LocalityMode::Reorder;
+      Memory M = I.run(Opts, &ByEngine[K]);
+      ASSERT_FALSE(I.faultState().Faulted) << Name << ": "
+                                           << I.faultState().str();
+      Checksum[K] = M.checksumExcluding(deadPrivateIds(H.Plan));
+    }
+    const ExecStats &T = ByEngine[0], &V = ByEngine[1];
+    EXPECT_EQ(Checksum[0], Checksum[1]) << Name;
+    EXPECT_EQ(T.DispatchStatic, V.DispatchStatic) << Name;
+    EXPECT_EQ(T.DispatchConditional, V.DispatchConditional) << Name;
+    EXPECT_EQ(T.DispatchSerial, V.DispatchSerial) << Name;
+    EXPECT_EQ(T.DispatchReplay, V.DispatchReplay) << Name;
+    EXPECT_EQ(T.InspectionsRun, V.InspectionsRun) << Name;
+    EXPECT_EQ(T.InspectionsCached, V.InspectionsCached) << Name;
+    EXPECT_EQ(T.VmSerialLoopRuns, 0u) << Name;
+    if (Name == "nested") {
+      EXPECT_EQ(V.VmSerialLoopRuns, 1u) << "outer runs inner as bytecode";
+      EXPECT_EQ(V.DispatchSerial, 100u) << "outer once, inner 99 times";
+    }
+    if (Name != "sparse_large")
+      continue;
+    // rows, ccs, pfx and the dscat fallback run as bytecode; sweep nests
+    // the conditional pscat, so it stays on the tree walk and pscat still
+    // dispatches on its own four times, each in parallel.
+    for (const ExecStats *S : {&T, &V}) {
+      unsigned PscatParallel = 0;
+      for (const ExecStats::RuntimeDecision &D : S->RuntimeDecisions)
+        PscatParallel += D.Loop == "pscat" && D.Pass;
+      EXPECT_EQ(PscatParallel, 4u) << (S == &T ? "interp" : "vm");
+    }
+    EXPECT_GE(V.VmSerialLoopRuns, 4u);
+  }
+}
+
+TEST(VmDifferential, VerdictCacheIsEngineSafe) {
+  // A VM-run serial loop bumps its write set once, the tree walk once per
+  // write, so the VM run's second scat invocation (after fix: ind =
+  // 2,2,2,4, inspection fails) sees the same version of ind as the tree
+  // walk's first (ind = 1,2,3,4, inspection passes). One interpreter
+  // alternating engines must still decide like a fresh one, and the VM's
+  // fix loop must still invalidate the first verdict.
+  Harness H(R"(program t
+    integer i, n
+    integer ind(4)
+    real x(8), y(4)
+    procedure doscat
+      scat: do i = 1, n
+        x(ind(i)) = x(ind(i)) + y(i)
+      end do
+    end
+    n = 4
+    ind(1) = 1
+    ind(2) = 2
+    y(1) = 0.5
+    y(2) = 1.0
+    init: do i = 3, n
+      ind(i) = i
+      y(i) = y(i - 1) + 0.5
+    end do
+    call doscat
+    fix: do i = 2, 3
+      ind(2 * i - 3) = 2
+      y(i) = y(i - 1) * 0.5
+    end do
+    call doscat
+  end)");
+  const DoStmt *Scat = H.P->findLoop("scat");
+  ASSERT_NE(Scat, nullptr);
+  ASSERT_NE(H.Plan.conditionalPlanFor(Scat), nullptr);
+  auto Decisions = [&](Interpreter &I, ExecEngine E) {
+    ExecStats Stats;
+    I.run(H.baseOptions(4, Schedule::Static, E), &Stats);
+    EXPECT_FALSE(I.faultState().Faulted) << I.faultState().str();
+    std::vector<bool> Pass;
+    for (const ExecStats::RuntimeDecision &D : Stats.RuntimeDecisions)
+      Pass.push_back(D.Pass);
+    return Pass;
+  };
+  Interpreter Shared(*H.P);
+  for (ExecEngine E : {ExecEngine::Vm, ExecEngine::Interp, ExecEngine::Vm,
+                       ExecEngine::Interp}) {
+    Interpreter Fresh(*H.P);
+    std::vector<bool> Want = Decisions(Fresh, E);
+    EXPECT_EQ(Want, (std::vector<bool>{true, false})) << engineName(E);
+    EXPECT_EQ(Decisions(Shared, E), Want) << engineName(E);
+  }
+}
+
+TEST(VmEngine, SerialLoopsRunAsBytecode) {
+  // build carries the prefix recurrence on p, so it is serial; under the
+  // VM engine it runs as bytecode and its profile record says so.
+  Harness H(PrefixSumScatter);
+  for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Vm}) {
+    prof::Session Prof;
+    Interpreter I(*H.P);
+    ExecOptions Opts = H.baseOptions(4, Schedule::Static, E);
+    Opts.Prof = &Prof;
+    ExecStats Stats;
+    Memory M = I.run(Opts, &Stats);
+    ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+    EXPECT_EQ(M.checksumExcluding(deadPrivateIds(H.Plan)), H.serialChecksum());
+    const prof::LoopProfile *Build = nullptr;
+    for (const prof::LoopProfile &LP : Prof.invocations())
+      if (LP.Label == "build")
+        Build = &LP;
+    ASSERT_NE(Build, nullptr);
+    EXPECT_EQ(Build->Kind, prof::DispatchKind::Serial);
+    EXPECT_EQ(Build->Engine, engineName(E));
+    EXPECT_EQ(Stats.VmSerialLoopRuns, E == ExecEngine::Vm ? 1u : 0u);
+  }
+}
+
+TEST(VmFault, SerialFaultAttributionMatchesTreeWalk) {
+  // Outside parallel loops a VM fault reads exactly like the tree walk's:
+  // same loop, iteration and location, and no worker (InParallel false).
+  const char *OutOfBounds = R"(program t
+    integer i, n
+    integer ind(100)
+    real x(100)
+    n = 100
+    fill: do i = 1, n
+      ind(i) = i + 1
+    end do
+    lp: do i = 1, n
+      x(ind(i)) = i * 0.5
+    end do
+  end)";
+  const char *DivByZero = R"(program t
+    integer i, n
+    integer d(100), q(100)
+    n = 100
+    fill: do i = 1, n
+      d(i) = i - 50
+    end do
+    lp: do i = 1, n
+      q(i) = 100 / d(i)
+    end do
+  end)";
+  const char *Clean = R"(program t
+    integer i, n
+    real x(100)
+    n = 100
+    fill: do i = 1, n
+      x(i) = i * 0.25
+    end do
+    lp: do i = 1, n
+      x(i) = x(i) * 2.0
+    end do
+  end)";
+  struct Case {
+    const char *Name;
+    const char *Source;
+    FaultKind Kind;
+  };
+  for (const Case &C : {Case{"out-of-bounds", OutOfBounds,
+                             FaultKind::OutOfBounds},
+                        Case{"div-by-zero", DivByZero, FaultKind::DivByZero},
+                        Case{"injected", Clean, FaultKind::Injected}}) {
+    auto P = parseOrDie(C.Source);
+    std::string Want;
+    for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Vm}) {
+      std::string Ctx = std::string(C.Name) + "/" + engineName(E);
+      verify::FaultInjector Inj;
+      Inj.faultAt("lp", 30, /*ParallelOnly=*/false);
+      Interpreter I(*P);
+      ExecOptions Opts;
+      Opts.Engine = E;
+      if (C.Kind == FaultKind::Injected)
+        Opts.Injector = &Inj;
+      ExecStats Stats;
+      I.run(Opts, &Stats);
+      const FaultState &FS = I.faultState();
+      ASSERT_TRUE(FS.Faulted) << Ctx;
+      EXPECT_EQ(FS.Fault.Kind, C.Kind) << Ctx;
+      EXPECT_EQ(FS.Fault.Loop, "lp") << Ctx;
+      EXPECT_FALSE(FS.Fault.InParallel) << Ctx;
+      EXPECT_EQ(Stats.VmLoopsCompiled, E == ExecEngine::Vm ? 2u : 0u) << Ctx;
+      if (Want.empty())
+        Want = FS.Fault.str();
+      else
+        EXPECT_EQ(FS.Fault.str(), Want) << Ctx;
+    }
+  }
+}
+
+TEST(VmFault, SerialDeadlineStopsTheLoopMidRun) {
+  // A billion-iteration serial loop runs as one bytecode range; only the
+  // VM's own per-iteration poll can stop it when the deadline fires.
+  auto P = parseOrDie(R"(program t
+    integer i, n, s
+    n = 1000000000
+    s = 0
+    lp: do i = 1, n
+      s = s + mod(i, 7)
+    end do
+  end)");
+  CancelToken Token;
+  Interpreter I(*P);
+  ExecOptions Opts;
+  Opts.Engine = ExecEngine::Vm;
+  Opts.Cancel = &Token;
+  ExecStats Stats;
+  std::thread Watchdog([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Token.cancel();
+  });
+  I.run(Opts, &Stats);
+  Watchdog.join();
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::DeadlineExceeded) << FS.str();
+  EXPECT_EQ(FS.Fault.Loop, "lp");
+  EXPECT_FALSE(FS.Fault.InParallel);
+  EXPECT_LT(FS.Fault.Iteration, 1000000000);
+  EXPECT_EQ(Stats.VmLoopsCompiled, 1u);
 }
 
 } // namespace
