@@ -69,6 +69,11 @@ inline bool faultIsResourceLimit(FaultKind K) {
   return K == FaultKind::DeadlineExceeded || K == FaultKind::ResourceExhausted;
 }
 
+/// Trips one entry of a while loop may run: the trip that passes it faults
+/// IterationGuard (value = that trip, bound = this limit). Both engines
+/// read it, so a runaway while faults identically on either.
+constexpr int64_t WhileTripLimit = 100000000;
+
 /// Cooperative cancellation flag shared between a watchdog (the daemon's
 /// deadline scanner, mfpar's --deadline-ms thread) and the interpreter.
 /// cancel() is sticky; the interpreter polls cancelled() at iteration and

@@ -1109,14 +1109,14 @@ private:
     }
     case StmtKind::While: {
       const auto *WS = cast<WhileStmt>(S);
-      unsigned Guard = 0;
+      int64_t Guard = 0;
       while (eval(WS->condition(), F).truthy()) {
         checkCancel(WS->loc(), F);
         execBody(WS->body(), F);
-        if (++Guard > 100000000u)
+        if (++Guard > WhileTripLimit)
           fault(FaultKind::IterationGuard, WS->loc(), F,
                 "while loop exceeded the iteration guard",
-                /*Sym=*/nullptr, /*HasValue=*/true, Guard, 100000000);
+                /*Sym=*/nullptr, /*HasValue=*/true, Guard, WhileTripLimit);
       }
       return;
     }

@@ -121,6 +121,12 @@ enum class Op : uint8_t {
   LoopBack, ///< RI[A] += RI[C]; if (!(done as above)) pc = Imm
   FaultZeroStep, ///< Fault BadStep through Ctx when RI[B] == 0; A is the
                  ///< loop's index-variable slot, for fault attribution.
+
+  // While-loop support: the tree walk's per-trip deadline poll (after the
+  // JmpZ exit test) and runaway guard (after the body).
+  PollCancel, ///< Fault DeadlineExceeded through Ctx once the run is cancelled.
+  WhileGuard, ///< ++RI[A]; fault IterationGuard through Ctx past
+              ///< WhileTripLimit, else pc = Imm (the back edge).
 };
 
 const char *opName(Op K);

@@ -112,7 +112,9 @@ const char *structuralWalk(const StmtList &Body, int Depth) {
     case StmtKind::Assign:
       break;
     case StmtKind::While:
-      return "while loop in body (unbounded trip count)";
+      if (const char *R = structuralWalk(cast<WhileStmt>(S)->body(), Depth))
+        return R;
+      break;
     case StmtKind::Call: {
       const auto *CS = cast<CallStmt>(S);
       if (!CS->callee())
@@ -561,6 +563,24 @@ private:
     emit(Op::StScaI, IndexSlot, I);
   }
 
+  /// The tree walk's while, trip for trip: test the condition, poll the
+  /// deadline, run the body, then count the trip against WhileTripLimit
+  /// and take the back edge. Both checks fault at the while with the
+  /// innermost do loop's iteration, and the guard restarts each time the
+  /// statement is entered.
+  void compileWhile(const WhileStmt *WS, int Depth) {
+    uint16_t Ctx = ctxAt(WS->loc());
+    uint16_t Guard = allocI();
+    emit(Op::MovI, Guard);
+    size_t Top = P.Code.size();
+    uint16_t C = truthy(compileExpr(WS->condition()));
+    size_t Exit = emit(Op::JmpZ, 0, C);
+    emit(Op::PollCancel, 0, 0, 0, 0, 0, Ctx);
+    compileBody(WS->body(), Depth);
+    emit(Op::WhileGuard, Guard, 0, 0, 0, 0, Ctx, int64_t(Top));
+    patchJump(Exit);
+  }
+
   void compileBody(const StmtList &Body, int Depth) {
     if (Depth > MaxInlineDepth)
       bail("call chain too deep to inline");
@@ -588,7 +608,8 @@ private:
         compileDo(cast<DoStmt>(S));
         break;
       case StmtKind::While:
-        bail("while loop in body (unbounded trip count)");
+        compileWhile(cast<WhileStmt>(S), Depth);
+        break;
       case StmtKind::Call: {
         const auto *CS = cast<CallStmt>(S);
         if (!CS->callee())
@@ -687,6 +708,8 @@ const char *vm::opName(Op K) {
   case Op::LoopTest: return "looptest";
   case Op::LoopBack: return "loopback";
   case Op::FaultZeroStep: return "ckstep";
+  case Op::PollCancel: return "poll";
+  case Op::WhileGuard: return "wguard";
   }
   return "?";
 }

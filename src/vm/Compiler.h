@@ -8,12 +8,14 @@
 /// \file
 /// Lowers the body of a certified do loop to register bytecode
 /// (vm/Bytecode.h). The compiler is deliberately conservative: anything it
-/// cannot lower with bit-identical semantics — while loops, unresolved or
-/// recursive calls, mod on real operands, non-integer index variables —
-/// is a *bailout*, and the loop keeps running on the tree-walking
-/// interpreter. Bailing out is always correct; compiling is only a speed
-/// change, never a semantic one (the differential oracle in --engine=both
-/// enforces exactly that).
+/// cannot lower with bit-identical semantics — unresolved or recursive
+/// calls, mod on real operands, non-integer index variables — is a
+/// *bailout*, and the loop keeps running on the tree-walking interpreter.
+/// Bailing out is always correct; compiling is only a speed change, never
+/// a semantic one (the differential oracle in --engine=both enforces
+/// exactly that). While loops lower trip for trip like the tree walk's:
+/// condition, deadline poll, body, then the WhileTripLimit guard, with
+/// faults attributed to the innermost do loop's iteration.
 ///
 /// structuralBailout() is the extent-free subset of the bailout taxonomy,
 /// usable at pipeline time (xform marks LoopPlan::VmEligible with it);

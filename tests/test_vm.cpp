@@ -14,8 +14,9 @@
 /// mid-chunk fault with rollback + serial replay. Serial-dispatched loops
 /// run on the VM too: their fault attribution, deadline polling, dispatch
 /// accounting and the engine-keyed verdict cache are pinned against the
-/// tree walk. Compiler-level tests pin the fusion peepholes and the bailout
-/// taxonomy.
+/// tree walk, as are faults, deadlines and the runaway guard inside while
+/// loops. Compiler-level tests pin the fusion peepholes, the while
+/// lowering and the bailout taxonomy.
 ///
 /// Suite names here start with "Vm" so the CI ThreadSanitizer job's
 /// --gtest_filter picks them up.
@@ -214,28 +215,56 @@ TEST(VmCompile, PureGatherLowersToGth) {
 }
 
 TEST(VmCompile, BailoutTaxonomy) {
-  // While loops (unbounded trip count) are the canonical structural
+  // A call with no resolved callee (the parser rejects one, a program
+  // assembled through the Program API can hold one) is a structural
   // bailout; the xform pre-check and the compiler must agree.
   auto P = parseOrDie(R"(program t
-    integer i, n, k
+    integer i, n
     real x(100)
+    procedure bump
+      x(i) = x(i) + 1.0
+    end
     n = 100
     lp: do i = 1, n
-      k = 1
-      while (k < 3)
-        x(i) = x(i) + 1.0
-        k = k + 1
-      end while
+      call bump
     end do
   end)");
   const DoStmt *L = P->findLoop("lp");
   ASSERT_NE(L, nullptr);
+  cast<CallStmt>(L->body().front())->setCallee(nullptr);
   const char *Why = vm::structuralBailout(L);
   ASSERT_NE(Why, nullptr);
-  EXPECT_NE(std::string(Why).find("while"), std::string::npos);
+  EXPECT_NE(std::string(Why).find("unresolved"), std::string::npos) << Why;
   vm::CompileResult R = vm::compileLoop(L, extentsOf(*P));
   EXPECT_FALSE(R.Ok);
   EXPECT_EQ(R.Bailout, Why);
+}
+
+TEST(VmCompile, WhileLowers) {
+  // TREE's do10 walks its force tree with an array stack inside a while;
+  // the loop lowers, with the while's deadline poll and trip guard.
+  Harness H(benchprogs::tree(0.05).Source);
+  const DoStmt *L = H.P->findLoop("do10");
+  ASSERT_NE(L, nullptr);
+  EXPECT_EQ(vm::structuralBailout(L), nullptr);
+  const xform::LoopPlan *Plan = H.Plan.planFor(L);
+  ASSERT_NE(Plan, nullptr);
+  EXPECT_TRUE(Plan->VmEligible) << Plan->VmBailout;
+  vm::CompileResult R = vm::compileLoop(L, extentsOf(*H.P));
+  ASSERT_TRUE(R.Ok) << R.Bailout;
+  std::string Dis = R.Prog.str();
+  EXPECT_NE(Dis.find(": poll "), std::string::npos) << Dis;
+  ASSERT_NE(Dis.find(": wguard "), std::string::npos) << Dis;
+  // The guard's back edge targets the condition, and the instruction just
+  // before it zeroes the guard: the count restarts on every entry.
+  for (const vm::Instr &In : R.Prog.Code)
+    if (In.K == vm::Op::WhileGuard) {
+      ASSERT_GT(In.Imm, 0) << Dis;
+      const vm::Instr &Reset = R.Prog.Code[size_t(In.Imm) - 1];
+      EXPECT_EQ(Reset.K, vm::Op::MovI) << Dis;
+      EXPECT_EQ(Reset.A, In.A) << Dis;
+      EXPECT_EQ(Reset.Imm, 0) << Dis;
+    }
 }
 
 TEST(VmCompile, PlansMarkEligibility) {
@@ -320,6 +349,93 @@ TEST(VmDifferential, LocalityReorderedDispatch) {
     EXPECT_GT(Stats.VmParallelLoopRuns, 0u) << "T=" << T;
     EXPECT_GT(Stats.LocalityReorders, 0u)
         << "T=" << T << ": the permuted dispatch must actually be in force";
+  }
+}
+
+TEST(VmDifferential, WhileShapesBitIdentical) {
+  // Every while shape the compiler lowers, each in a parallel-planned loop:
+  // zero trips, a while in a do in a while, short-circuit and/or guarding
+  // a division, a real-valued condition and a real's truthiness, and a
+  // while inside an inlined call.
+  Harness H(R"(program t
+    integer i, j, k, m, n, c
+    integer cnt(64), w(64)
+    real x(64), y(64), z(64)
+    real r
+    procedure walk
+      while (m < mod(i, 4) or (m < 2 and i > 60))
+        m = m + 1
+        r = r + m * 0.5
+      end while
+    end
+    n = 64
+    init: do i = 1, n
+      w(i) = mod(i * 7, 5)
+      y(i) = mod(i, 9) * 0.25
+    end do
+    zero: do i = 1, n
+      k = w(i) - 10
+      c = 0
+      while (k > 0)
+        c = c + k
+        k = k - 1
+      end while
+      x(i) = c + k
+    end do
+    nest: do i = 1, n
+      k = 0
+      c = 0
+      while (k < w(i))
+        k = k + 1
+        do j = 1, k
+          m = j
+          while (m > 0)
+            c = c + m
+            m = m - 2
+          end while
+        end do
+      end while
+      cnt(i) = c
+    end do
+    logic: do i = 1, n
+      k = 0
+      while (k < 5 and (w(i) == 0 or 10 / w(i) > k))
+        k = k + 1
+      end while
+      r = y(i)
+      while (r < 3.5 and not (r > 2.0 and k == 0))
+        r = r * 1.5 + 0.25
+      end while
+      x(i) = x(i) + r + k
+    end do
+    truth: do i = 1, n
+      r = y(i) * 4.0
+      c = 0
+      while (r)
+        r = r - 1.0
+        c = c + 1
+      end while
+      z(i) = c * 0.5
+    end do
+    inl: do i = 1, n
+      m = 0
+      r = 0.0
+      call walk
+      x(i) = x(i) + r
+    end do
+  end)");
+  for (const char *Label : {"zero", "nest", "logic", "truth", "inl"}) {
+    const DoStmt *L = H.P->findLoop(Label);
+    ASSERT_NE(L, nullptr) << Label;
+    EXPECT_NE(H.Plan.planFor(L), nullptr) << Label << " must plan parallel";
+  }
+  for (unsigned T : {1u, 4u}) {
+    std::string Ctx = "T=" + std::to_string(T);
+    ExecStats Stats = H.runBoth(T, Schedule::Static, Ctx);
+    EXPECT_EQ(Stats.VmBailouts, 0u) << Ctx;
+    EXPECT_GE(Stats.VmLoopsCompiled, 5u) << Ctx;
+    EXPECT_GT(T == 1 ? Stats.VmSerialLoopRuns : Stats.VmParallelLoopRuns, 0u)
+        << Ctx;
   }
 }
 
@@ -833,6 +949,223 @@ TEST(VmFault, SerialDeadlineStopsTheLoopMidRun) {
   EXPECT_FALSE(FS.Fault.InParallel);
   EXPECT_LT(FS.Fault.Iteration, 1000000000);
   EXPECT_EQ(Stats.VmLoopsCompiled, 1u);
+}
+
+/// The first while statement nested anywhere in \p L's body.
+const WhileStmt *firstWhileIn(const DoStmt *L) {
+  const WhileStmt *Found = nullptr;
+  Program::forEachStmtIn(L->body(), [&](Stmt *S) {
+    if (!Found)
+      Found = dyn_cast<WhileStmt>(S);
+  });
+  return Found;
+}
+
+TEST(VmFault, WhileGuardMatchesTreeWalkAttribution) {
+  // Iteration 3 of lp enters a while that never ends. The VM runs all
+  // WhileTripLimit + 1 trips (the tree walk would take minutes) and must
+  // fault exactly as the tree walk's guard does: IterationGuard at the
+  // while, in lp's iteration 3, value = the trip past the limit.
+  auto P = parseOrDie(R"(program t
+    integer i, n, k
+    real x(10)
+    n = 10
+    lp: do i = 1, n
+      k = 0
+      if (i == 3) then
+        while (1)
+        end while
+      end if
+      x(i) = x(i) + k
+    end do
+  end)");
+  const DoStmt *L = P->findLoop("lp");
+  ASSERT_NE(L, nullptr);
+  const WhileStmt *WS = firstWhileIn(L);
+  ASSERT_NE(WS, nullptr);
+  Interpreter I(*P);
+  ExecOptions Opts;
+  Opts.Engine = ExecEngine::Vm;
+  ExecStats Stats;
+  I.run(Opts, &Stats);
+  EXPECT_EQ(Stats.VmLoopsCompiled, 1u);
+  const FaultState &FS = I.faultState();
+  ASSERT_TRUE(FS.Faulted);
+  const RuntimeFault &F = FS.Fault;
+  EXPECT_EQ(F.Kind, FaultKind::IterationGuard) << F.str();
+  EXPECT_EQ(F.Loc, WS->loc());
+  EXPECT_EQ(F.Loop, "lp");
+  EXPECT_TRUE(F.HasIteration);
+  EXPECT_EQ(F.Iteration, 3);
+  EXPECT_TRUE(F.HasValue);
+  EXPECT_EQ(F.Value, WhileTripLimit + 1);
+  EXPECT_EQ(F.Bound, WhileTripLimit);
+  EXPECT_FALSE(F.InParallel);
+  // The fault the tree walk's guard builds from the same frame.
+  RuntimeFault Want;
+  Want.Kind = FaultKind::IterationGuard;
+  Want.Loc = WS->loc();
+  Want.Range = SourceRange(WS->loc());
+  Want.Loop = "lp";
+  Want.HasIteration = true;
+  Want.Iteration = 3;
+  Want.HasValue = true;
+  Want.Value = WhileTripLimit + 1;
+  Want.Bound = WhileTripLimit;
+  Want.Detail = "while loop exceeded the iteration guard";
+  EXPECT_EQ(F.str(), Want.str());
+}
+
+TEST(VmFault, DeadlineInsideWhileMatchesTreeWalk) {
+  // lp's while never ends; a 20 ms watchdog must stop it at the while's
+  // own poll, serially and in a T=2 parallel dispatch, on either engine.
+  Harness H(R"(program t
+    integer i, n, k
+    real x(8)
+    n = 8
+    lp: do i = 1, n
+      k = 0
+      while (k >= 0)
+        k = k + 1
+      end while
+      x(i) = k * 0.5
+    end do
+  end)");
+  const DoStmt *L = H.P->findLoop("lp");
+  ASSERT_NE(L, nullptr);
+  ASSERT_NE(H.Plan.planFor(L), nullptr);
+  const WhileStmt *WS = firstWhileIn(L);
+  ASSERT_NE(WS, nullptr);
+  for (bool Parallel : {false, true})
+    for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Vm}) {
+      std::string Ctx = std::string(Parallel ? "T=2/" : "serial/") +
+                        engineName(E);
+      CancelToken Token;
+      Interpreter I(*H.P);
+      ExecOptions Opts;
+      if (Parallel)
+        Opts = H.baseOptions(2, Schedule::Static, E);
+      Opts.Engine = E;
+      Opts.Cancel = &Token;
+      ExecStats Stats;
+      std::thread Watchdog([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        Token.cancel();
+      });
+      I.run(Opts, &Stats);
+      Watchdog.join();
+      const FaultState &FS = I.faultState();
+      ASSERT_TRUE(FS.Faulted) << Ctx;
+      EXPECT_EQ(FS.Fault.Kind, FaultKind::DeadlineExceeded) << Ctx;
+      EXPECT_EQ(FS.Fault.Loc, WS->loc()) << Ctx << ": " << FS.Fault.str();
+      EXPECT_EQ(FS.Fault.Loop, "lp") << Ctx;
+      EXPECT_EQ(FS.Fault.InParallel, Parallel) << Ctx;
+      EXPECT_EQ(Stats.VmLoopsCompiled, E == ExecEngine::Vm ? 1u : 0u) << Ctx;
+    }
+}
+
+TEST(VmFault, FaultsInsideWhileMatchTreeWalk) {
+  // Iteration 37 of each parallel loop faults inside a while: an array-
+  // stack push past stack's extent, and a division by zero on the third
+  // evaluation of a while condition. Serially (T=1) and after rollback
+  // and serial replay (T=4), both engines report the same fault.
+  const char *StackOverflow = R"(program t
+    integer i, n, nn, node, sptr
+    integer left(63), right(63), stack(4), start(64)
+    real mass(63), acc(64)
+    real s
+    nn = 63
+    n = 64
+    bld: do i = 1, nn
+      left(i) = i * 2
+      right(i) = i * 2 + 1
+      if (left(i) > nn) then
+        left(i) = 0
+      end if
+      if (right(i) > nn) then
+        right(i) = 0
+      end if
+      mass(i) = mod(i * 5, 7) * 0.5 + 1.0
+    end do
+    st: do i = 1, n
+      start(i) = 32 + mod(i, 32)
+    end do
+    start(37) = 1
+    lp: do i = 1, n
+      s = 0.0
+      sptr = 0
+      sptr = sptr + 1
+      stack(sptr) = start(i)
+      while (sptr > 0)
+        node = stack(sptr)
+        sptr = sptr - 1
+        s = s + mass(node)
+        if (left(node) > 0) then
+          sptr = sptr + 1
+          stack(sptr) = left(node)
+        end if
+        if (right(node) > 0) then
+          sptr = sptr + 1
+          stack(sptr) = right(node)
+        end if
+      end while
+      acc(i) = s
+    end do
+  end)";
+  const char *DivInCondition = R"(program t
+    integer i, n, k
+    integer d(64)
+    real x(64)
+    n = 64
+    fill: do i = 1, n
+      d(i) = 20 + mod(i, 3)
+    end do
+    d(37) = 2
+    lp: do i = 1, n
+      k = 0
+      while (k < 12 / (d(i) - k))
+        k = k + 1
+      end while
+      x(i) = k * 0.5
+    end do
+  end)";
+  struct Case {
+    const char *Name;
+    const char *Source;
+    FaultKind Kind;
+    unsigned Loops; ///< Loops run, all of them lowered under the VM.
+  };
+  for (const Case &C :
+       {Case{"stack-overflow", StackOverflow, FaultKind::OutOfBounds, 3},
+        Case{"div-in-condition", DivInCondition, FaultKind::DivByZero, 2}}) {
+    Harness H(C.Source);
+    const DoStmt *L = H.P->findLoop("lp");
+    ASSERT_NE(L, nullptr);
+    ASSERT_NE(H.Plan.planFor(L), nullptr) << C.Name;
+    for (unsigned T : {1u, 4u}) {
+      std::string Want;
+      for (ExecEngine E : {ExecEngine::Interp, ExecEngine::Vm}) {
+        std::string Ctx = std::string(C.Name) + "/T=" + std::to_string(T) +
+                          "/" + engineName(E);
+        Interpreter I(*H.P);
+        ExecStats Stats;
+        I.run(H.baseOptions(T, Schedule::Static, E), &Stats);
+        const FaultState &FS = I.faultState();
+        ASSERT_TRUE(FS.Faulted) << Ctx;
+        EXPECT_EQ(FS.Fault.Kind, C.Kind) << Ctx;
+        EXPECT_EQ(FS.Fault.Loop, "lp") << Ctx;
+        EXPECT_EQ(FS.Fault.Iteration, 37) << Ctx;
+        EXPECT_EQ(FS.Fault.DuringReplay, T > 1) << Ctx;
+        EXPECT_EQ(FS.Rollbacks, T > 1 ? 1u : 0u) << Ctx;
+        EXPECT_EQ(Stats.VmLoopsCompiled, E == ExecEngine::Vm ? C.Loops : 0u)
+            << Ctx;
+        if (Want.empty())
+          Want = FS.Fault.str();
+        else
+          EXPECT_EQ(FS.Fault.str(), Want) << Ctx;
+      }
+    }
+  }
 }
 
 } // namespace
