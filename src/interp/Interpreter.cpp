@@ -139,6 +139,11 @@ void publishRun(const ExecStats &S, FaultState &FS) {
   FS.ReplaysRecovered = S.FaultReplaysRecovered;
 }
 
+/// The ExecStats field counting each prof::DispatchTier.
+constexpr unsigned ExecStats::*TierCounts[prof::NumDispatchTiers] = {
+    &ExecStats::DispatchStatic, &ExecStats::DispatchConditional,
+    &ExecStats::DispatchSerial, &ExecStats::DispatchReplay};
+
 } // namespace
 
 const char *iaa::interp::engineName(ExecEngine E) {
@@ -392,12 +397,17 @@ public:
   /// Cached inspection verdict for one runtime-conditional loop, valid
   /// while the engine (engines bump versions at different rates, see
   /// Buffer::Version), the bounds and every inspected version are unchanged.
+  /// A passed verdict also holds the loop's locality permutation, built on
+  /// the first reordered dispatch and dropped whenever the inspection
+  /// re-runs.
   struct InspectionEntry {
     bool Pass = false;
     ExecEngine Engine = ExecEngine::Interp;
     int64_t Lo = 0, Up = 0;
     std::vector<std::pair<unsigned, uint64_t>> Versions;
     std::string Detail;
+    bool Reordered = false; ///< Order was built (it may still be null).
+    std::shared_ptr<const std::vector<int64_t>> Order;
   };
   std::map<const mf::DoStmt *, InspectionEntry> InspectionCache;
 
@@ -409,17 +419,6 @@ public:
   };
   std::map<const mf::DoStmt *, ModelEntry> ModelCache;
   std::optional<sched::GatherFootprintModel> Model;
-
-  /// Cached locality permutation for one conditional loop, keyed like
-  /// InspectionEntry.
-  struct ReorderEntry {
-    ExecEngine Engine = ExecEngine::Interp;
-    int64_t Lo = 0, Up = 0;
-    std::vector<std::pair<unsigned, uint64_t>> Versions;
-    std::shared_ptr<const std::vector<int64_t>> Order;
-    uint64_t LinesTouched = 0;
-  };
-  std::map<const mf::DoStmt *, ReorderEntry> ReorderCache;
 
   /// Memoized per-loop write sets for post-join version bumps.
   std::map<const mf::DoStmt *, std::vector<const mf::Symbol *>> LoopWriteSets;
@@ -553,28 +552,56 @@ private:
     throw FaultException(std::move(RF));
   }
 
-  /// RAII profiling scope for one labeled-loop invocation. Opens a
-  /// recorder in the session, routes element accesses to it via ProfCur
-  /// (nested unlabeled loops flow to the enclosing labeled recorder; a
-  /// past-the-cap "light" invocation suspends access attribution instead
-  /// of leaking into the outer loop), and finalizes on destruction — so a
-  /// fault unwinding out of the loop still lands a complete record.
-  /// ProfCur is only mutated here, in serial context; workers read it.
-  struct ProfScope {
+  /// How one do-loop invocation runs, as plain data: decide() fills it,
+  /// dispatchDo runs it, and --stats, --profile and the trace report it.
+  struct Dispatch {
+    prof::DispatchKind Kind = prof::DispatchKind::Serial;
+    const xform::LoopPlan *Plan = nullptr; ///< Forked or race-checked plan.
+    int64_t Lo = 0, Up = 0, Step = 1, NIter = 0;
+    /// Fork width (> 1 exactly when forking), schedule and chunking.
+    unsigned Threads = 1;
+    Schedule Sched = Schedule::Static;
+    int64_t ChunkSize = 0, Align = 1;
+    /// Iteration order held by the loop's inspection-cache entry, or null
+    /// for source order.
+    const std::vector<int64_t> *Order = nullptr;
+    /// Bytecode for the body, or null to tree-walk it.
+    const vm::LoopProgram *VmProg = nullptr;
+    /// Why, for the profile: a literal or the loop's cached inspection
+    /// detail, which only another inspection of the same loop rewrites.
+    const char *Detail = "";
+    double InspectUs = 0; ///< Inspection time spent by decide().
+
+    bool forks() const {
+      return Kind == prof::DispatchKind::Parallel ||
+             Kind == prof::DispatchKind::CondParallel;
+    }
+  };
+
+  /// One serial-context invocation's accounting, opened once its decision
+  /// is made. At scope exit, normal or unwinding, it counts the tier of the
+  /// final decision (a replay has rewritten the kind by then) and closes
+  /// the profile record with the same decision; loops inside a parallel
+  /// worker or a replay belong to the outer invocation. Under --profile a
+  /// labeled loop's element accesses go to its recorder via ProfCur (nested
+  /// unlabeled loops flow to the enclosing labeled recorder; a light
+  /// past-the-cap invocation suspends attribution instead of leaking into
+  /// the outer loop). ProfCur is only mutated here; workers read it.
+  struct InvocationScope {
     Exec &E;
     Frame &F;
+    const Dispatch &D;
+    const bool Accounted;
     prof::LoopRecorder *Rec = nullptr;
     prof::LoopRecorder *Prev = nullptr;
     uint32_t SavedSkip = 1;
 
-    ProfScope(Exec &E, Frame &F, const DoStmt *DS, bool InParallel,
-              int64_t Lo, int64_t Up, int64_t NIter)
-        : E(E), F(F) {
-      if (!E.Opts.Prof || InParallel || DS->label().empty())
+    InvocationScope(Exec &E, Frame &F, const DoStmt *DS, const Dispatch &D)
+        : E(E), F(F), D(D), Accounted(!F.InParallel && !F.InReplay) {
+      if (!Accounted || !E.Opts.Prof || DS->label().empty())
         return;
       Rec = E.Opts.Prof->beginLoop(DS->label(), E.Prog.numSymbols(),
-                                   std::max(1u, E.Opts.Threads), Lo, Up,
-                                   NIter);
+                                   std::max(1u, E.Opts.Threads), D.InspectUs);
       Prev = E.ProfCur;
       E.ProfCur = Rec->light() ? nullptr : Rec;
       if (E.ProfCur) {
@@ -587,17 +614,26 @@ private:
       }
     }
 
-    ~ProfScope() {
+    ~InvocationScope() {
+      if (!Accounted)
+        return;
+      ++(E.Stats.*TierCounts[unsigned(prof::tierOf(D.Kind))]);
       if (!Rec)
         return;
       if (E.ProfCur == Rec)
         F.ProfSkip = SavedSkip;
       E.ProfCur = Prev;
+      const bool Forked = D.Threads > 1;
+      Rec->Dispatch = {D.Kind, D.Detail, D.VmProg ? "vm" : "interp",
+                       D.Lo, D.Up, D.NIter, D.Threads,
+                       Forked ? scheduleName(D.Sched) : "",
+                       Forked ? sched::localityModeName(E.Opts.Locality)
+                              : ""};
       E.Opts.Prof->endLoop(Rec);
     }
 
-    ProfScope(const ProfScope &) = delete;
-    ProfScope &operator=(const ProfScope &) = delete;
+    InvocationScope(const InvocationScope &) = delete;
+    InvocationScope &operator=(const InvocationScope &) = delete;
   };
 
   /// Saves and restores a frame's loop-attribution context so each loop
@@ -1152,139 +1188,129 @@ private:
         LoopTimer.seconds() - (VirtualAdjust - AdjustAtEntry);
   }
 
-  /// Decides how one do-loop invocation runs (serial, race-checked,
-  /// inspected, or parallel), counts its dispatch tier, and runs it.
-  void dispatchDo(const DoStmt *DS, Frame &F) {
-    int64_t Lo = eval(DS->lower(), F).asInt();
-    int64_t Up = eval(DS->upper(), F).asInt();
-    int64_t Step = DS->step() ? eval(DS->step(), F).asInt() : 1;
-    if (Step == 0)
+  /// Decides how one do-loop invocation runs, as plain data. Evaluates the
+  /// bounds, then consults the plan, the inspector, the profitability
+  /// guard, the locality model and the bytecode compiler; runs no iteration
+  /// (an inspection's index-array scan is the one exception). Plans are
+  /// consulted only in serial context: inside a parallel worker or a fault
+  /// replay every loop runs serially.
+  Dispatch decide(const DoStmt *DS, Frame &F) {
+    Dispatch D;
+    D.Lo = eval(DS->lower(), F).asInt();
+    D.Up = eval(DS->upper(), F).asInt();
+    D.Step = DS->step() ? eval(DS->step(), F).asInt() : 1;
+    if (D.Step == 0)
       fault(FaultKind::BadStep, DS->loc(), F, "do loop with zero step",
             DS->indexVar(), /*HasValue=*/true, /*Value=*/0);
+    D.NIter = std::max<int64_t>(0, D.Step > 0
+                                       ? (D.Up - D.Lo) / D.Step + 1
+                                       : (D.Lo - D.Up) / (-D.Step) + 1);
 
-    const xform::LoopPlan *Plan = nullptr;
-    if (!F.InParallel && !F.InReplay && Opts.Plans &&
-        (Opts.Threads > 1 || Opts.RaceCheck) && Step == 1)
-      Plan = Opts.Plans->planFor(DS);
-    int64_t NIter = Step > 0 ? (Up - Lo) / Step + 1 : (Lo - Up) / (-Step) + 1;
-    if (NIter < 0)
-      NIter = 0;
-
-    // Profiling scope for labeled serial-context loops: opens a recorder
-    // in the session, finalized (even on unwinding) at scope exit.
-    ProfScope PS(*this, F, DS, F.InParallel || F.InReplay, Lo, Up, NIter);
-    prof::LoopRecorder *Rec = PS.Rec;
-
-    // Inspector/executor: a statically-serial loop carrying a
-    // runtime-conditional plan is inspected before its first execution and
-    // dispatched parallel only when every check passes against the actual
-    // index-array contents; a failed (or structurally impossible)
-    // inspection falls through to the serial path below, which is always
-    // sound. Race checking deliberately skips conditional plans — they are
-    // not parallel-marked, so there is no certification to validate.
-    bool CondInspected = false;
-    std::string CondDetail;
-    if (!Plan && !F.InParallel && Opts.RuntimeChecks && !Opts.RaceCheck &&
-        Opts.Plans && Opts.Threads > 1 && Step == 1 && NIter >= 2) {
-      if (const xform::LoopPlan *Cond = Opts.Plans->conditionalPlanFor(DS))
-        if (satMul(NIter, bodyWeight(DS)) >= Opts.MinParallelWork) {
-          Timer InspectTimer;
-          CondInspected = true;
-          bool Pass = inspectionPasses(DS, *Cond, Lo, Up, &CondDetail);
-          if (Rec)
-            Rec->InspectUs += InspectTimer.seconds() * 1e6;
-          if (Pass)
-            Plan = Cond;
-        }
-    }
-
+    const bool Planned =
+        Opts.Plans && D.Step == 1 && !F.InParallel && !F.InReplay;
+    if (Planned && (Opts.Threads > 1 || Opts.RaceCheck))
+      D.Plan = Opts.Plans->planFor(DS);
     // Race checking replaces parallel execution: the plan-marked loop runs
     // serially under shadow tags, bypassing the profitability guard so
     // every certified plan is checked regardless of size.
-    if (Plan && Opts.RaceCheck && NIter >= 2) {
-      ++Stats.DispatchStatic;
-      if (Rec)
-        Rec->Detail = "race-check: plan-marked loop forced serial";
-      execDoShadow(DS, Plan, Lo, Up, F);
-      return;
+    if (D.Plan && Opts.RaceCheck && D.NIter >= 2) {
+      D.Kind = prof::DispatchKind::RaceCheck;
+      D.Detail = "race-check: plan-marked loop forced serial";
+      return D;
     }
 
-    if (!Plan || NIter < 2 ||
-        satMul(NIter, bodyWeight(DS)) < Opts.MinParallelWork) {
-      if (!F.InParallel && !F.InReplay)
-        ++(CondInspected ? Stats.DispatchConditional : Stats.DispatchSerial);
-      if (Rec) {
-        if (CondInspected) {
-          // A passed inspection with a sufficient trip count dispatches in
-          // parallel, so reaching here means the inspection failed.
-          Rec->Kind = prof::DispatchKind::CondSerial;
-          Rec->Detail = CondDetail;
-        } else if (Plan) {
-          Rec->Kind = prof::DispatchKind::SerialSmall;
-          Rec->Detail = "below the parallel profitability threshold";
-        }
+    // Inspector/executor: a statically-serial loop carrying a
+    // runtime-conditional plan is inspected, and dispatched parallel only
+    // when every check passes against the actual index-array contents; a
+    // failed inspection runs serially, which is always sound. Race checking
+    // skips conditional plans: they are not parallel-marked, so there is no
+    // certification to validate.
+    const xform::LoopPlan *Cond = nullptr;
+    if (!D.Plan && Planned && Opts.RuntimeChecks && !Opts.RaceCheck &&
+        Opts.Threads > 1)
+      Cond = Opts.Plans->conditionalPlanFor(DS);
+    const bool Profitable =
+        (D.Plan || Cond) && D.NIter >= 2 &&
+        satMul(D.NIter, bodyWeight(DS)) >= Opts.MinParallelWork;
+    if (Cond && Profitable) {
+      Timer InspectTimer;
+      RuntimeCaches::InspectionEntry &E = inspect(DS, *Cond, D.Lo, D.Up);
+      D.InspectUs = InspectTimer.seconds() * 1e6;
+      if (E.Pass) {
+        D.Kind = prof::DispatchKind::CondParallel;
+        D.Plan = Cond;
+        if (Opts.Locality == sched::LocalityMode::Reorder)
+          D.Order = reorderFor(*Cond, D.Lo, D.Up, E);
+      } else {
+        D.Kind = prof::DispatchKind::CondSerial;
+        D.Detail = E.Detail.c_str();
       }
-      const vm::LoopProgram *VmProg = serialVmProgramFor(DS, Step, F);
-      if (Rec && VmProg)
-        Rec->Engine = "vm";
-      runRange(DS, Lo, Lo, Up, Step, nullptr, F, VmProg);
-      // The VM skips the per-write version bumps; bump the write set once.
-      if (VmProg) {
-        ++Stats.VmSerialLoopRuns;
-        bumpWriteSetVersions(DS);
-      }
-      setScalar(DS->indexVar(), NIter > 0 ? Lo + NIter * Step : Lo, F);
-      return;
+    } else if (D.Plan && Profitable) {
+      D.Kind = prof::DispatchKind::Parallel;
+    } else if (D.Plan) {
+      D.Kind = prof::DispatchKind::SerialSmall;
+      D.Detail = "below the parallel profitability threshold";
     }
-
-    // --- Parallel execution. Its dispatch tier is counted after the join,
-    // once the outcome is known.
-    ++Stats.ParallelLoopRuns;
-    unsigned T = Opts.Threads;
-    if (static_cast<int64_t>(T) > NIter)
-      T = static_cast<unsigned>(NIter);
+    if (!D.forks()) {
+      D.VmProg = serialVmProgramFor(DS, D.Step, F);
+      return D;
+    }
 
     // Locality-aware scheduling: under Model/Reorder the footprint model
-    // overrides the dispenser's policy, chunk size, and alignment; under
-    // Reorder an inspected conditional loop additionally executes in the
-    // inspector's line-bucketed iteration order. Either way the result is
+    // overrides the dispenser's policy, chunk size, and alignment (an
+    // inspected loop's reorder was picked above). Either way the result is
     // bit-identical to the source order (the permutation pins the final
     // iteration last, preserving last-value semantics).
-    Schedule Sch = Opts.Sched;
-    int64_t ChunkSize = Opts.ChunkSize;
-    int64_t Align = 1;
+    D.Threads = static_cast<unsigned>(
+        std::min<int64_t>(Opts.Threads, D.NIter));
+    D.Sched = Opts.Sched;
+    D.ChunkSize = Opts.ChunkSize;
     if (Opts.Locality != sched::LocalityMode::Off) {
-      const sched::SchedulePick &Pick = modelPickFor(DS, NIter, T);
-      Sch = Pick.Sched;
-      ChunkSize = Pick.ChunkSize;
-      Align = Pick.Align;
+      const sched::SchedulePick &Pick = modelPickFor(DS, D.NIter, D.Threads);
+      D.Sched = Pick.Sched;
+      D.ChunkSize = Pick.ChunkSize;
+      D.Align = Pick.Align;
       ++Stats.LocalityModelPicks;
     }
-    std::shared_ptr<const std::vector<int64_t>> Order;
-    if (CondInspected && Opts.Locality == sched::LocalityMode::Reorder)
-      Order = reorderPlanFor(DS, *Plan, Lo, Up);
-
     // Engine selection: under --engine=vm a compiled program runs the
     // chunks as register bytecode; a bailout (or interp engine) keeps the
     // tree walk. Everything around the chunk body is engine-agnostic.
-    const vm::LoopProgram *VmProg = vmProgramFor(DS, Plan);
-    if (VmProg)
-      ++Stats.VmParallelLoopRuns;
+    D.VmProg = vmProgramFor(DS, D.Plan);
+    return D;
+  }
 
-    if (Rec) {
-      Rec->Kind = CondInspected ? prof::DispatchKind::CondParallel
-                                : prof::DispatchKind::Parallel;
-      Rec->Engine = VmProg ? "vm" : "interp";
-      Rec->Threads = T;
-      Rec->Schedule = scheduleName(Sch);
-      Rec->Locality = sched::localityModeName(Opts.Locality);
+  /// Runs one do-loop invocation: decide() makes the decision, the
+  /// invocation scope accounts for it, and the decision runs.
+  void dispatchDo(const DoStmt *DS, Frame &F) {
+    Dispatch D = decide(DS, F);
+    InvocationScope Inv(*this, F, DS, D);
+    if (D.forks())
+      return runParallel(DS, D, F, Inv.Rec);
+    if (D.Kind == prof::DispatchKind::RaceCheck)
+      return execDoShadow(DS, D.Plan, D.Lo, D.Up, F);
+    runRange(DS, D.Lo, D.Lo, D.Up, D.Step, nullptr, F, D.VmProg);
+    // The VM skips the per-write version bumps; bump the write set once.
+    if (D.VmProg) {
+      ++Stats.VmSerialLoopRuns;
+      bumpWriteSetVersions(DS);
     }
+    setScalar(DS->indexVar(), D.NIter > 0 ? D.Lo + D.NIter * D.Step : D.Lo,
+              F);
+  }
 
+  /// Runs a parallel decision fork/join. A worker fault rolls the loop
+  /// back and, under FaultAction::Replay, rewrites \p D's kind to Replay
+  /// before the invocation scope counts it.
+  void runParallel(const DoStmt *DS, Dispatch &D, Frame &F,
+                   prof::LoopRecorder *Rec) {
+    ++Stats.ParallelLoopRuns;
+    if (D.VmProg)
+      ++Stats.VmParallelLoopRuns;
     trace::TraceScope ParSpan("parallel-loop", "interp");
     ParSpan.arg("loop", DS->label().empty() ? "<unlabeled>" : DS->label());
-    ParSpan.arg("threads", std::to_string(T));
-    ParSpan.arg("schedule", scheduleName(Sch));
-    if (Order)
+    ParSpan.arg("threads", std::to_string(D.Threads));
+    ParSpan.arg("schedule", scheduleName(D.Sched));
+    if (D.Order)
       ParSpan.arg("locality", "reorder");
 
     // Everything below is per-*worker-that-ran-iterations*: private copies
@@ -1309,7 +1335,7 @@ private:
       /// first access, biasing the stream).
       uint32_t ProfSkip = 1;
     };
-    std::vector<WorkerState> Workers(T);
+    std::vector<WorkerState> Workers(D.Threads);
 
     auto BuildPrivates = [&](unsigned W) {
       auto &Map = Workers[W].Overrides;
@@ -1317,11 +1343,11 @@ private:
         Map.emplace(S->id(), Mem.buffer(S)); // Copy-in.
       };
       AddPrivate(DS->indexVar());
-      for (const Symbol *S : Plan->PrivateScalars)
+      for (const Symbol *S : D.Plan->PrivateScalars)
         AddPrivate(S);
-      for (const Symbol *S : Plan->PrivateArrays)
+      for (const Symbol *S : D.Plan->PrivateArrays)
         AddPrivate(S);
-      for (const Symbol *S : Plan->Reductions) {
+      for (const Symbol *S : D.Plan->Reductions) {
         Buffer Zero = Mem.buffer(S);
         if (Zero.Kind == ScalarKind::Int)
           Zero.I.assign(Zero.I.size(), 0);
@@ -1343,7 +1369,7 @@ private:
         Snapshot.emplace_back(S, Mem.buffer(S));
     FaultSlot Faults;
 
-    ChunkDispenser Disp(Lo, Up, T, Sch, ChunkSize, Align);
+    ChunkDispenser Disp(D.Lo, D.Up, D.Threads, D.Sched, D.ChunkSize, D.Align);
 
     // Runs one dispensed chunk on worker W; returns its seconds (including
     // the first chunk's private-copy construction — it parallelizes too).
@@ -1371,7 +1397,7 @@ private:
       FW.Worker = W;
       FW.ProfSkip = WS.ProfSkip;
       WS.LastIter = std::max(
-          PrevMax, runRange(DS, Lo, First, Last, 1, Order.get(), FW, VmProg));
+          PrevMax, runRange(DS, D.Lo, First, Last, 1, D.Order, FW, D.VmProg));
       WS.ProfSkip = FW.ProfSkip;
       double Secs = CT.seconds();
       if (Rec)
@@ -1382,7 +1408,7 @@ private:
       if (ChunkSpan.active()) {
         ChunkSpan.arg("worker", std::to_string(W));
         ChunkSpan.arg("chunk", std::to_string(ChunkId));
-        ChunkSpan.arg("schedule", scheduleName(Sch));
+        ChunkSpan.arg("schedule", scheduleName(D.Sched));
         ChunkSpan.arg("first", std::to_string(First));
         ChunkSpan.arg("last", std::to_string(Last));
       }
@@ -1395,14 +1421,14 @@ private:
       // the worker whose clock is lowest, exactly how a free thread is the
       // one that grabs from the dispenser. The loop's virtual cost is the
       // busiest worker's clock plus the fork/join overhead model.
-      std::vector<double> Clock(T, 0.0);
-      std::vector<bool> Done(T, false);
+      std::vector<double> Clock(D.Threads, 0.0);
+      std::vector<bool> Done(D.Threads, false);
       while (true) {
-        unsigned W = T;
-        for (unsigned C = 0; C < T; ++C)
-          if (!Done[C] && (W == T || Clock[C] < Clock[W]))
+        unsigned W = D.Threads;
+        for (unsigned C = 0; C < D.Threads; ++C)
+          if (!Done[C] && (W == D.Threads || Clock[C] < Clock[W]))
             W = C;
-        if (W == T)
+        if (W == D.Threads)
           break;
         int64_t First, Last;
         unsigned ChunkId;
@@ -1420,14 +1446,14 @@ private:
         }
       }
       double SumChunks = 0, MaxClock = 0;
-      for (unsigned W = 0; W < T; ++W) {
+      for (unsigned W = 0; W < D.Threads; ++W) {
         SumChunks += Clock[W];
         MaxClock = std::max(MaxClock, Clock[W]);
       }
-      double Overhead = Opts.ForkAlpha + Opts.ForkBeta * T;
+      double Overhead = Opts.ForkAlpha + Opts.ForkBeta * D.Threads;
       VirtualAdjust += SumChunks - (MaxClock + Overhead);
     } else {
-      poolFor(T)->run(T, [&](unsigned W) {
+      poolFor(D.Threads)->run(D.Threads, [&](unsigned W) {
         // Nothing may escape this lambda: an exception crossing into
         // WorkerPool::workerLoop would std::terminate the process. A
         // structured fault is trapped and published first-fault-wins;
@@ -1457,7 +1483,7 @@ private:
 
     unsigned ChunksRun = Disp.chunksDispensed();
     Stats.ChunksRun += ChunksRun;
-    if (VmProg)
+    if (D.VmProg)
       Stats.VmChunksRun += ChunksRun;
     for (const WorkerState &WS : Workers) {
       if (!WS.Ran)
@@ -1467,18 +1493,12 @@ private:
       Stats.ChunkSecondsMax = std::max(Stats.ChunkSecondsMax, WS.SecondsMax);
     }
 
-    // The invocation's one dispatch tier. A faulted dispatch that is rolled
-    // back and serially replayed counts as a replay, not in its original
-    // parallel tier. Resource-limit faults (deadline, memory budget) are
-    // never replayed, whatever the policy: serially re-running the loop
-    // cannot un-blow a budget — it would just burn the daemon's wall clock
-    // a second time.
+    // Resource-limit faults (deadline, memory budget) are never replayed,
+    // whatever the policy: serially re-running the loop cannot un-blow a
+    // budget — it would just burn the daemon's wall clock a second time.
     unsigned NFaults = Faults.Count.load(std::memory_order_relaxed);
     const bool Replay = NFaults && Opts.OnFault == FaultAction::Replay &&
                         !faultIsResourceLimit(Faults.First->Kind);
-    ++(Replay ? Stats.DispatchReplay
-              : CondInspected ? Stats.DispatchConditional
-                              : Stats.DispatchStatic);
 
     // A worker faulted: the torn parallel state must not be merged.
     if (NFaults) {
@@ -1508,8 +1528,7 @@ private:
       // Report, or a resource-limit fault: rollback-and-report preserves
       // the transactional guarantee.
       if (!Replay) {
-        if (Rec)
-          Rec->Detail = "worker fault: rolled back, reported";
+        D.Detail = "worker fault: rolled back, reported";
         addFaultRemark(DS, First, "rolled back, reported", nullptr);
         throw FaultException(std::move(First));
       }
@@ -1518,35 +1537,33 @@ private:
       // reproduces the fault with exact serial attribution, or completes
       // correctly — proving the fault an artifact of parallel execution
       // (e.g. damage done by a mis-certified plan, or an injected
-      // parallel-only fault).
+      // parallel-only fault). The invocation counts as a replay, not in
+      // its original parallel tier.
       ++Stats.FaultReplays;
-      if (Rec)
-        Rec->Kind = prof::DispatchKind::Replay;
+      D.Kind = prof::DispatchKind::Replay;
       Frame FR = F;
       FR.InReplay = true;
       Timer ReplayTimer;
       try {
-        runRange(DS, Lo, Lo, Up, 1, nullptr, FR, nullptr);
+        runRange(DS, D.Lo, D.Lo, D.Up, 1, nullptr, FR, nullptr);
       } catch (FaultException &FE) {
-        if (Rec) {
+        if (Rec)
           Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
-          Rec->Detail = "worker fault: replay reproduced the fault";
-        }
+        D.Detail = "worker fault: replay reproduced the fault";
         addFaultRemark(DS, First, "replay reproduced the fault", &FE.Fault);
         throw;
       }
-      setScalar(DS->indexVar(), Up + 1, FR);
-      if (Rec) {
+      setScalar(DS->indexVar(), D.Up + 1, FR);
+      if (Rec)
         Rec->ReplayUs += ReplayTimer.seconds() * 1e6;
-        Rec->Detail = "worker fault: replay recovered";
-      }
+      D.Detail = "worker fault: replay recovered";
       ++Stats.FaultReplaysRecovered;
       addFaultRemark(DS, First, "replay recovered", nullptr);
       return;
     }
 
     // Merge reductions: global += sum of partials of the workers that ran.
-    for (const Symbol *S : Plan->Reductions) {
+    for (const Symbol *S : D.Plan->Reductions) {
       Buffer &G = Mem.buffer(S);
       for (const WorkerState &WS : Workers) {
         if (!WS.Ran)
@@ -1565,16 +1582,16 @@ private:
     // iteration is Up.
     WorkerState *LastW = nullptr;
     for (WorkerState &WS : Workers)
-      if (WS.Ran && WS.LastIter == Up)
+      if (WS.Ran && WS.LastIter == D.Up)
         LastW = &WS;
     if (!LastW)
       fault(FaultKind::Internal, DS->loc(), F,
             "no worker executed the final iteration");
-    for (const Symbol *S : Plan->PrivateScalars)
+    for (const Symbol *S : D.Plan->PrivateScalars)
       Mem.buffer(S) = LastW->Overrides.at(S->id());
-    for (const Symbol *S : Plan->PrivateArrays)
+    for (const Symbol *S : D.Plan->PrivateArrays)
       Mem.buffer(S) = LastW->Overrides.at(S->id());
-    setScalar(DS->indexVar(), Up + 1, F);
+    setScalar(DS->indexVar(), D.Up + 1, F);
 
     // Workers skipped the per-write version bumps (they would race); bump
     // everything the loop writes once, after the join and the writebacks,
@@ -1667,21 +1684,24 @@ private:
            Detail});
   }
 
-  /// Decides whether the runtime-conditional \p Plan may dispatch \p DS in
-  /// parallel for iterations [Lo, Up]. Verdicts are cached per loop, keyed
-  /// on the bounds and the version counters of every inspected index
-  /// array; any write to one of them (serial stores bump inline, parallel
-  /// loops bump their write set after the join) forces a re-inspection.
-  bool inspectionPasses(const DoStmt *DS, const xform::LoopPlan &Plan,
-                        int64_t Lo, int64_t Up,
-                        std::string *DetailOut = nullptr) {
+  /// The verdict of the runtime-conditional \p Plan for \p DS over
+  /// [Lo, Up]. Verdicts are cached per loop, keyed on the bounds and the
+  /// version counters of every inspected index array; any write to one of
+  /// them (serial stores bump inline, parallel loops bump their write set
+  /// after the join) forces a re-inspection.
+  RuntimeCaches::InspectionEntry &inspect(const DoStmt *DS,
+                                          const xform::LoopPlan &Plan,
+                                          int64_t Lo, int64_t Up) {
     // Test-only: a lying inspector vouches for the loop without scanning,
     // so containment of the resulting faults (a parallel dispatch the data
-    // does not support) can be exercised end to end.
+    // does not support) can be exercised end to end. Its verdict is never
+    // cached.
     if (Opts.Injector && Opts.Injector->skipInspection(DS)) {
       recordDecision(DS, /*Cached=*/false, /*DidPass=*/true,
                      "inspection skipped by fault injector");
-      return true;
+      SkippedInspection = {};
+      SkippedInspection.Pass = true;
+      return SkippedInspection;
     }
     // The bounds-within check reads only the bounded array's *extent*
     // (fixed for the run), so data writes to it must not invalidate the
@@ -1700,9 +1720,7 @@ private:
     if (!Inserted && E.Engine == Opts.Engine && E.Lo == Lo && E.Up == Up &&
         E.Versions == Versions) {
       recordDecision(DS, /*Cached=*/true, E.Pass, E.Detail);
-      if (DetailOut)
-        *DetailOut = E.Detail;
-      return E.Pass;
+      return E;
     }
 
     trace::TraceScope Span("inspect", "interp");
@@ -1713,8 +1731,8 @@ private:
     WorkerPool *InsPool = nullptr;
     if (!Opts.Simulate && Opts.Threads > 1)
       InsPool = poolFor(Opts.Threads);
+    E = {};
     E.Pass = true;
-    E.Detail.clear();
     for (const auto &C : Plan.RuntimeChecks) {
       InspectionOutcome O =
           inspectRuntimeCheck(C, Mem, Lo, Up, InsPool, Opts.Threads);
@@ -1731,9 +1749,7 @@ private:
     if (Span.active())
       Span.arg("verdict", E.Pass ? "pass" : "fail");
     recordDecision(DS, /*Cached=*/false, E.Pass, E.Detail);
-    if (DetailOut)
-      *DetailOut = E.Detail;
-    return E.Pass;
+    return E;
   }
 
   //===--------------------------------------------------------------------===//
@@ -1764,18 +1780,19 @@ private:
     return E.Pick;
   }
 
-  /// The locality permutation for an inspected conditional loop, cached
-  /// under the same keys as the inspection verdict — the bounds plus the
-  /// version counters of *every* checked Index and Length array, not just
-  /// the permutation's own source array. A CRS loop's segment-length array
-  /// can change the target layout while the offset array it permutes by is
-  /// untouched; keying on the full check set forces the rebuild. (A stale
-  /// permutation would still be *safe* — any bijection of a proven
-  /// iteration-disjoint space with Up pinned last is correct — but it
-  /// would silently stop matching the data it was built for.)
-  std::shared_ptr<const std::vector<int64_t>>
-  reorderPlanFor(const DoStmt *DS, const xform::LoopPlan &Plan, int64_t Lo,
-                 int64_t Up) {
+  /// The locality permutation for a conditional loop whose inspection
+  /// \p E passed, cached in that verdict entry — so it is keyed like the
+  /// verdict, on the bounds plus the version counters of *every* checked
+  /// Index and Length array, not just the permutation's own source array. A
+  /// CRS loop's segment-length array can change the target layout while
+  /// the offset array it permutes by is untouched; keying on the full check
+  /// set forces the rebuild. (A stale permutation would still be *safe* —
+  /// any bijection of a proven iteration-disjoint space with Up pinned last
+  /// is correct — but it would silently stop matching the data it was built
+  /// for.)
+  const std::vector<int64_t> *reorderFor(const xform::LoopPlan &Plan,
+                                         int64_t Lo, int64_t Up,
+                                         RuntimeCaches::InspectionEntry &E) {
     // Permute by the plan's recorded gather source when present, else the
     // first check with an index array.
     const deptest::RuntimeCheck *Check = nullptr;
@@ -1791,34 +1808,16 @@ private:
     }
     if (!Check)
       return nullptr;
-
-    std::vector<std::pair<unsigned, uint64_t>> Versions;
-    for (const auto &C : Plan.RuntimeChecks)
-      for (const Symbol *S : {C.Index, C.Length})
-        if (S)
-          Versions.emplace_back(S->id(), Mem.buffer(S).Version);
-    std::sort(Versions.begin(), Versions.end());
-    Versions.erase(std::unique(Versions.begin(), Versions.end()),
-                   Versions.end());
-
-    auto [It, Inserted] = C.ReorderCache.try_emplace(DS);
-    RuntimeCaches::ReorderEntry &E = It->second;
-    if (!Inserted && E.Engine == Opts.Engine && E.Lo == Lo && E.Up == Up &&
-        E.Versions == Versions) {
+    if (E.Reordered) {
       ++Stats.LocalityReordersCached;
-      return E.Order;
+      return E.Order.get();
     }
-
-    ReorderOutcome O =
-        buildIterationReorder(*Check, Mem, Lo, Up, sched::DefaultLineElems);
-    E.Engine = Opts.Engine;
-    E.Lo = Lo;
-    E.Up = Up;
-    E.Versions = std::move(Versions);
-    E.Order = O.Order;
-    E.LinesTouched = O.LinesTouched;
+    E.Order = buildIterationReorder(*Check, Mem, Lo, Up,
+                                    sched::DefaultLineElems)
+                  .Order;
+    E.Reordered = true;
     ++Stats.LocalityReorders;
-    return E.Order;
+    return E.Order.get();
   }
 
 public:
@@ -1842,14 +1841,16 @@ private:
   const CancelToken *Cancel;
   std::vector<std::vector<int64_t>> DimExtents;
 
+  /// The uncached verdict of an injector-skipped inspection (test only).
+  RuntimeCaches::InspectionEntry SkippedInspection;
   /// Active shadow monitors, innermost last (non-empty only under
   /// ExecOptions::RaceCheck, inside plan-marked loops).
   std::vector<ShadowMonitor *> Monitors;
   /// Innermost active loop recorder (null when profiling is off, inside
   /// an unprofiled region, or during a past-the-cap light invocation).
-  /// Written only from serial context (ProfScope); parallel workers read
-  /// it — the fork publishes it, the join synchronizes before the next
-  /// mutation.
+  /// Written only from serial context (InvocationScope); parallel workers
+  /// read it — the fork publishes it, the join synchronizes before the
+  /// next mutation.
   prof::LoopRecorder *ProfCur = nullptr;
 };
 

@@ -297,14 +297,10 @@ struct ExecStats {
   std::vector<RaceRecord> Races;
   unsigned RacesFound = 0;
 
-  /// Per-loop dispatch tier over serial-context loop invocations (published
-  /// as the --stats "dispatch" group). The four tiers partition every
-  /// dispatch decision — one tier per invocation:
-  /// static (parallel on a static proof, no inspection), conditional
-  /// (decided by the runtime-check inspector, whichever way it fell),
-  /// serial (no inspector consulted), replay (dispatched parallel but
-  /// faulted, rolled back, and serially replayed — the replay's nested
-  /// loops and the original parallel tier are *not* double-counted).
+  /// Serial-context loop invocations by dispatch tier (prof::DispatchTier;
+  /// the --stats "dispatch" group): each counts once, in the tier of its
+  /// final dispatch decision. A replay's nested loops are not counted, nor
+  /// is a replayed invocation's original parallel tier.
   unsigned DispatchStatic = 0;
   unsigned DispatchConditional = 0;
   unsigned DispatchSerial = 0;

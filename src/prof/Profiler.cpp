@@ -99,6 +99,8 @@ const char *iaa::prof::dispatchKindName(DispatchKind K) {
     return "conditional-serial";
   case DispatchKind::Replay:
     return "replay";
+  case DispatchKind::RaceCheck:
+    return "race-check";
   }
   return "serial";
 }
@@ -151,15 +153,15 @@ std::string LoopProfile::jsonLine() const {
   std::string Out = "{\"type\": \"loop\", \"label\": " + json::str(Label) +
                     ", \"invocation\": " + std::to_string(Invocation) +
                     ", \"dispatch\": " +
-                    json::str(dispatchKindName(Kind)) +
-                    ", \"detail\": " + json::str(Detail) +
-                    ", \"engine\": " + json::str(Engine) +
-                    ", \"lo\": " + std::to_string(Lo) +
-                    ", \"up\": " + std::to_string(Up) +
-                    ", \"niter\": " + std::to_string(NIter) +
-                    ", \"threads\": " + std::to_string(Threads) +
-                    ", \"schedule\": " + json::str(Schedule) +
-                    ", \"locality\": " + json::str(Locality) +
+                    json::str(dispatchKindName(Dispatch.Kind)) +
+                    ", \"detail\": " + json::str(Dispatch.Detail) +
+                    ", \"engine\": " + json::str(Dispatch.Engine) +
+                    ", \"lo\": " + std::to_string(Dispatch.Lo) +
+                    ", \"up\": " + std::to_string(Dispatch.Up) +
+                    ", \"niter\": " + std::to_string(Dispatch.NIter) +
+                    ", \"threads\": " + std::to_string(Dispatch.Threads) +
+                    ", \"schedule\": " + json::str(Dispatch.Schedule) +
+                    ", \"locality\": " + json::str(Dispatch.Locality) +
                     ", \"worker_lines\": " + std::to_string(WorkerLinesSum) +
                     ", \"wall_us\": " + json::num(WallUs) +
                     ", \"inspect_us\": " + json::num(InspectUs) +
@@ -244,8 +246,7 @@ Session::~Session() = default;
 bool Session::countersAvailable() const { return Perf && Perf->available(); }
 
 LoopRecorder *Session::beginLoop(const std::string &Label, unsigned NumSymbols,
-                                 unsigned MaxWorkers, int64_t Lo, int64_t Up,
-                                 int64_t NIter) {
+                                 unsigned MaxWorkers, double InspectUs) {
   if (Opts.HardwareCounters && !PerfTried) {
     PerfTried = true;
     Perf = std::make_unique<PerfCounters>();
@@ -260,9 +261,7 @@ LoopRecorder *Session::beginLoop(const std::string &Label, unsigned NumSymbols,
   R->MaxSamples = Opts.MaxSamplesPerArray;
   R->MaxChunkEvents = Opts.MaxChunkEventsPerWorker;
   R->LineShift = LineShift;
-  R->Lo = Lo;
-  R->Up = Up;
-  R->NIter = NIter;
+  R->InspectUs = InspectUs;
   if (!R->Light) {
     R->Wrk.resize(MaxWorkers == 0 ? 1 : MaxWorkers);
     // Distinct nonzero xorshift seeds per worker keep runs reproducible
@@ -283,38 +282,12 @@ void Session::endLoop(LoopRecorder *R) {
   LabelAgg &Agg = Aggregates[R->Label];
   Agg.WallUs += WallUs;
   Agg.AnalysisUs += R->InspectUs + R->RollbackUs + R->ReplayUs;
-  if (R->Threads > Agg.ThreadsMax)
-    Agg.ThreadsMax = R->Threads;
-  switch (R->Kind) {
-  case DispatchKind::Parallel:
-    Agg.SawParallel = true;
-    ++Agg.TierStatic;
-    break;
-  case DispatchKind::CondParallel:
-    Agg.SawCondPass = true;
-    ++Agg.TierConditional;
-    break;
-  case DispatchKind::CondSerial:
-    Agg.SawCondFail = true;
-    ++Agg.TierConditional;
-    break;
-  case DispatchKind::SerialSmall:
-    Agg.SawSerialSmall = true;
-    ++Agg.TierSerial;
-    break;
-  case DispatchKind::Serial:
-    ++Agg.TierSerial;
-    break;
-  case DispatchKind::Replay:
-    // The invocation did dispatch in parallel before the fault; it counts
-    // in the replay tier only (one tier per invocation), but the label
-    // still reads as parallelized in the verdict.
-    Agg.SawParallel = true;
-    ++Agg.TierReplay;
-    break;
-  }
-  if (!R->Detail.empty())
-    Agg.Detail = R->Detail;
+  const DispatchInfo &D = R->Dispatch;
+  Agg.ThreadsMax = std::max(Agg.ThreadsMax, D.Threads);
+  Agg.KindsSeen |= 1u << unsigned(D.Kind);
+  ++Agg.Tiers[unsigned(tierOf(D.Kind))];
+  if (!D.Detail.empty())
+    Agg.Detail = D.Detail;
   if (R->Light) {
     ++prof_loops_light;
     return;
@@ -325,15 +298,7 @@ void Session::endLoop(LoopRecorder *R) {
   LoopProfile P;
   P.Label = R->Label;
   P.Invocation = R->Invocation;
-  P.Kind = R->Kind;
-  P.Detail = R->Detail;
-  P.Engine = R->Engine;
-  P.Lo = R->Lo;
-  P.Up = R->Up;
-  P.NIter = R->NIter;
-  P.Threads = R->Threads;
-  P.Schedule = R->Schedule;
-  P.Locality = R->Locality;
+  P.Dispatch = D;
   P.WallUs = WallUs;
   P.InspectUs = R->InspectUs;
   P.RollbackUs = R->RollbackUs;
@@ -417,8 +382,8 @@ void Session::endLoop(LoopRecorder *R) {
     T.Chunks = 1;
     T.BusyUs = WallUs;
     T.FootprintLines = WLines.empty() ? 0 : WLines[0];
-    T.FirstIter = R->Lo;
-    T.LastIter = R->NIter > 0 ? R->Up : R->Lo - 1;
+    T.FirstIter = D.Lo;
+    T.LastIter = D.NIter > 0 ? D.Up : D.Lo - 1;
     P.Workers.push_back(std::move(T));
   } else {
     for (unsigned WId = 0; WId < R->Wrk.size(); ++WId) {
@@ -503,26 +468,36 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
   finalizeAnalysis();
   std::vector<LoopHealth> Out;
   for (const auto &[Label, Agg] : Aggregates) {
+    auto Saw = [&](DispatchKind K) {
+      return (Agg.KindsSeen >> unsigned(K) & 1) != 0;
+    };
+    auto Tier = [&](DispatchTier T) { return Agg.Tiers[unsigned(T)]; };
     LoopHealth H;
     H.Label = Label;
-    if (Agg.SawParallel)
+    // A replayed invocation did dispatch in parallel before its fault, so
+    // the label still reads as parallelized.
+    const bool Parallelized =
+        Tier(DispatchTier::Static) || Tier(DispatchTier::Replay);
+    if (Parallelized)
       H.Verdict = "parallelized";
-    else if (Agg.SawCondPass || Agg.SawCondFail)
+    else if (Tier(DispatchTier::Conditional))
       H.Verdict = "conditional";
     else
       H.Verdict = "serial";
-    if (Agg.SawCondPass && Agg.SawCondFail)
+    const bool CondPass = Saw(DispatchKind::CondParallel),
+               CondFail = Saw(DispatchKind::CondSerial);
+    if (CondPass && CondFail)
       H.Why = "inspection passed on some invocations, failed on others";
-    else if (Agg.SawCondPass)
+    else if (CondPass)
       H.Why = "runtime inspection passed";
-    else if (Agg.SawCondFail)
+    else if (CondFail)
       H.Why = "runtime inspection failed" +
               (Agg.Detail.empty() ? "" : ": " + Agg.Detail);
-    else if (Agg.SawSerialSmall)
+    else if (Saw(DispatchKind::SerialSmall))
       H.Why = "below the parallel profitability threshold";
     else if (!Agg.Detail.empty())
       H.Why = Agg.Detail;
-    if (H.Why.empty() && !Agg.SawParallel && Plans) {
+    if (H.Why.empty() && !Parallelized && Plans) {
       if (const xform::LoopReport *R = Plans->reportFor(Label))
         if (!R->Parallel && !R->WhyNot.empty())
           H.Why = R->WhyNot;
@@ -545,10 +520,10 @@ std::vector<LoopHealth> Session::health(const xform::PipelineResult *Plans) {
     H.FootprintLines = Agg.FootprintLines;
     H.WorkerLines = Agg.WorkerLines;
     H.SampledAccesses = Agg.Hist.Total + Agg.Hist.Cold;
-    H.DispatchStatic = Agg.TierStatic;
-    H.DispatchConditional = Agg.TierConditional;
-    H.DispatchSerial = Agg.TierSerial;
-    H.DispatchReplay = Agg.TierReplay;
+    H.DispatchStatic = Tier(DispatchTier::Static);
+    H.DispatchConditional = Tier(DispatchTier::Conditional);
+    H.DispatchSerial = Tier(DispatchTier::Serial);
+    H.DispatchReplay = Tier(DispatchTier::Replay);
     Out.push_back(std::move(H));
   }
   return Out;

@@ -119,7 +119,7 @@ void reuseDistances(const std::vector<uint32_t> &Lines, ReuseHistogram &H);
 // Finalized per-invocation profiles
 //===----------------------------------------------------------------------===//
 
-/// How the interpreter dispatched one profiled loop invocation.
+/// How the interpreter dispatched one loop invocation.
 enum class DispatchKind {
   Serial,       ///< No plan: the loop is statically serial.
   SerialSmall,  ///< A plan exists but the profitability guard kept it serial.
@@ -129,9 +129,55 @@ enum class DispatchKind {
   Replay,       ///< Dispatched parallel, trapped a worker fault, rolled
                 ///< back, and re-executed serially. One invocation, one
                 ///< tier: the original parallel tier is not also counted.
+  RaceCheck,    ///< Plan-marked loop run serially under the shadow-memory
+                ///< race checker (ExecOptions::RaceCheck).
 };
 
 const char *dispatchKindName(DispatchKind K);
+
+/// The dispatch tiers that partition loop invocations, one tier each:
+/// static (parallel on a static proof, no inspection), conditional (the
+/// inspector decided, whichever way), serial (no plan, or the
+/// profitability guard kept a planned loop serial), replay (faulted in
+/// parallel, rolled back, serially replayed). Both the --stats "dispatch"
+/// group and the health report count tierOf(kind).
+enum class DispatchTier { Static, Conditional, Serial, Replay };
+constexpr unsigned NumDispatchTiers = 4;
+
+/// The tier an invocation dispatched as \p K counts in. A race-checked
+/// loop counts as static: its plan is a static proof, checked instead of
+/// forked.
+constexpr DispatchTier tierOf(DispatchKind K) {
+  switch (K) {
+  case DispatchKind::Parallel:
+  case DispatchKind::RaceCheck:
+    return DispatchTier::Static;
+  case DispatchKind::CondParallel:
+  case DispatchKind::CondSerial:
+    return DispatchTier::Conditional;
+  case DispatchKind::Serial:
+  case DispatchKind::SerialSmall:
+    return DispatchTier::Serial;
+  case DispatchKind::Replay:
+    return DispatchTier::Replay;
+  }
+  return DispatchTier::Serial;
+}
+
+/// What a profile keeps of the interpreter's dispatch decision for one
+/// invocation; filled once, from that decision, when the invocation ends.
+struct DispatchInfo {
+  DispatchKind Kind = DispatchKind::Serial;
+  std::string Detail; ///< Failing check, fault note, ... (may be empty).
+  /// Execution engine of the loop body ("interp" tree walk or "vm"
+  /// register bytecode). VM loops have no AST frames, so this is how
+  /// profiles stay attributable to an engine.
+  std::string Engine = "interp";
+  int64_t Lo = 0, Up = 0, NIter = 0;
+  unsigned Threads = 1;
+  std::string Schedule; ///< Empty unless the invocation forked.
+  std::string Locality; ///< Locality mode of a forked invocation.
+};
 
 /// Cache-line telemetry for one array within one loop invocation.
 struct ArrayProfile {
@@ -181,13 +227,7 @@ struct WorkerTimeline {
 struct LoopProfile {
   std::string Label;
   unsigned Invocation = 0; ///< 0-based per-label invocation number.
-  DispatchKind Kind = DispatchKind::Serial;
-  std::string Detail; ///< Failing check, fault note, ... (may be empty).
-  std::string Engine = "interp"; ///< "interp" or "vm" (see LoopRecorder).
-  int64_t Lo = 0, Up = 0, NIter = 0;
-  unsigned Threads = 1;
-  std::string Schedule;
-  std::string Locality; ///< Locality mode in force ("off"/"model"/"reorder").
+  DispatchInfo Dispatch;
   /// Sum over workers of per-worker distinct sampled cache lines. Unlike
   /// the per-array footprint (a union, schedule-invariant), this sum drops
   /// when the schedule keeps line-sharing iterations on the same worker —
@@ -220,12 +260,8 @@ struct LoopHealth {
   uint64_t FootprintLines = 0; ///< Max per-invocation total footprint.
   uint64_t WorkerLines = 0;    ///< Max per-invocation worker-lines sum.
   uint64_t SampledAccesses = 0;
-  /// Invocation counts by dispatch tier: static (parallel on a static
-  /// proof, no inspection), conditional (inspector decided, pass or fail),
-  /// serial (no plan, or the profitability guard kept a planned loop
-  /// serial), replay (faulted in parallel, rolled back, serially
-  /// replayed). One tier per invocation: the four counts sum to
-  /// Invocations.
+  /// Invocation counts by dispatch tier (see DispatchTier). One tier per
+  /// invocation: the four counts sum to Invocations.
   unsigned DispatchStatic = 0;
   unsigned DispatchConditional = 0;
   unsigned DispatchSerial = 0;
@@ -271,8 +307,9 @@ public:
   /// are kept, and the access/chunk hooks are no-ops.
   bool light() const { return Light; }
 
-  /// Microseconds since loop entry (timeline timebase).
-  double nowUs() const { return Clock.seconds() * 1e6; }
+  /// Microseconds since loop entry (timeline timebase). The entry lies
+  /// InspectUs before beginLoop: the decision's inspection came first.
+  double nowUs() const { return InspectUs + Clock.seconds() * 1e6; }
 
   /// Records one *sampled* element access to \p S at linear element
   /// \p Elem of a buffer with \p BufElems elements, and returns how many
@@ -331,16 +368,9 @@ public:
       ++WR.EventsDropped;
   }
 
-  /// Dispatch context, filled in by the interpreter as decisions fall.
-  DispatchKind Kind = DispatchKind::Serial;
-  std::string Detail;
-  /// Execution engine of the loop body ("interp" tree walk or "vm"
-  /// register bytecode). VM loops have no AST frames, so this is how
-  /// profiles stay attributable to an engine.
-  std::string Engine = "interp";
-  unsigned Threads = 1;
-  std::string Schedule;
-  std::string Locality;
+  /// The invocation's dispatch decision; the interpreter fills it once,
+  /// just before endLoop.
+  DispatchInfo Dispatch;
   double InspectUs = 0;
   double RollbackUs = 0;
   double ReplayUs = 0;
@@ -389,7 +419,6 @@ private:
   size_t MaxSamples = 0;
   size_t MaxChunkEvents = 0;
   unsigned LineShift = 3;
-  int64_t Lo = 0, Up = 0, NIter = 0;
   Timer Clock;
   PerfSample PerfBegin;
   std::vector<WorkerRec> Wrk;
@@ -418,10 +447,11 @@ public:
   bool countersAvailable() const;
 
   /// Starts recording one invocation of the loop labeled \p Label. Returns
-  /// a light recorder past the per-label invocation cap.
+  /// a light recorder past the per-label invocation cap. \p InspectUs is
+  /// the inspection the dispatch decision ran before recording began: it
+  /// is charged to the invocation, which starts that long before now.
   LoopRecorder *beginLoop(const std::string &Label, unsigned NumSymbols,
-                          unsigned MaxWorkers, int64_t Lo, int64_t Up,
-                          int64_t NIter);
+                          unsigned MaxWorkers, double InspectUs);
 
   /// Finalizes \p R (reuse histograms, timelines, counter deltas), stores
   /// the profile, folds it into the label aggregate, emits trace counter
@@ -469,12 +499,8 @@ private:
     ReuseHistogram Hist;
     uint64_t FootprintLines = 0;
     uint64_t WorkerLines = 0;
-    bool SawParallel = false, SawCondPass = false, SawCondFail = false,
-         SawSerialSmall = false;
-    /// Invocation counts by dispatch tier (static / conditional / serial /
-    /// replay; see LoopHealth — one tier per invocation).
-    unsigned TierStatic = 0, TierConditional = 0, TierSerial = 0,
-             TierReplay = 0;
+    unsigned KindsSeen = 0; ///< Bit (1 << DispatchKind) per kind seen.
+    unsigned Tiers[NumDispatchTiers] = {}; ///< Indexed by DispatchTier.
     std::string Detail;
   };
 

@@ -107,3 +107,10 @@ ArtifactCache::get(const std::string &Source, xform::PipelineMode Mode,
     E->Art = buildArtifact(Source, Mode, Audit);
   return E->Art;
 }
+
+void ArtifactCache::touch(const std::string &Key) {
+  std::lock_guard<std::mutex> Lock(M);
+  auto It = Entries.find(Key);
+  if (It != Entries.end())
+    It->second->LastUse = ++Clock;
+}

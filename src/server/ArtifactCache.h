@@ -85,6 +85,12 @@ public:
                                       xform::PipelineMode Mode,
                                       verify::AuditMode Audit, bool &Hit);
 
+  /// Marks the artifact under \p Key (see artifactKey) as just used, if it
+  /// is still resident. A session that keeps running an artifact it pins
+  /// calls this, so the artifact stays inside the cache's bound instead of
+  /// being evicted and kept alive beside it.
+  void touch(const std::string &Key);
+
   uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
   uint64_t misses() const { return Misses.load(std::memory_order_relaxed); }
 

@@ -36,8 +36,9 @@ Session::ProgramState &Session::stateFor(const Request &R, bool &CacheHit) {
       PS.Interp->setBytecodeCache(PS.Art->Bytecode);
     }
   } else {
-    // This session already holds the artifact; the cross-session cache
-    // was not consulted, but for the client it is still a hit.
+    // This session already holds the artifact: for the client it is a
+    // hit, and the cross-session cache only needs to know it is in use.
+    Env.Artifacts->touch(Key);
     CacheHit = true;
   }
   PS.LastUse = ++ProgramClock;
@@ -150,23 +151,27 @@ Response Session::handleRun(const Request &R) {
 }
 
 Response Session::handleCompile(const Request &R) {
+  // A compile reads the artifact cache directly: it builds no run state,
+  // so it cannot push this session's run programs (and their verdict and
+  // bytecode caches) out of the bounded program map.
   bool CacheHit = false;
-  ProgramState &PS = stateFor(R, CacheHit);
+  std::shared_ptr<const Artifact> Art =
+      Env.Artifacts->get(R.Source, R.Mode, R.Audit, CacheHit);
 
   Response Resp;
   Resp.Id = R.Id;
   Resp.HasCache = true;
   Resp.CacheHit = CacheHit;
-  if (!PS.Art->ok()) {
+  if (!Art->ok()) {
     Resp.St = Response::Status::Error;
-    Resp.Error = "compile failed: " + PS.Art->BuildError;
+    Resp.Error = "compile failed: " + Art->BuildError;
     if (Env.Counters)
       Env.Counters->Errors.fetch_add(1, std::memory_order_relaxed);
     return Resp;
   }
-  Resp.PlanSummary = PS.Art->PlanSummary;
+  Resp.PlanSummary = Art->PlanSummary;
   if (R.Remarks)
-    Resp.RemarksJsonl = PS.Art->RemarksJsonl;
+    Resp.RemarksJsonl = Art->RemarksJsonl;
   return Resp;
 }
 

@@ -47,7 +47,7 @@ std::vector<Statistic *> sortedRegistry() {
 
 } // namespace
 
-thread_local Collector *iaa::stat::detail::TlsCollector = nullptr;
+constinit thread_local Collector *iaa::stat::detail::TlsCollector = nullptr;
 
 void Collector::note(const Statistic *S, uint64_t N) {
   std::lock_guard<std::mutex> Lock(M);

@@ -84,7 +84,10 @@ private:
 namespace detail {
 /// The collector receiving this thread's increments, or null. Managed by
 /// CollectorScope; read inline on every increment (one TLS load).
-extern thread_local Collector *TlsCollector;
+/// constinit: with a constant initializer the compiler accesses the
+/// variable directly instead of through a TLS wrapper function, which
+/// UBSan's null check (gcc 12) otherwise flags on the first increment.
+extern constinit thread_local Collector *TlsCollector;
 } // namespace detail
 
 /// The collector installed on this thread, or null.

@@ -22,7 +22,7 @@ using namespace iaa::trace;
 IAA_STAT(trace_dropped, "Trace events discarded by the buffer cap");
 
 std::atomic<bool> iaa::trace::detail::Enabled{false};
-thread_local Buffer *iaa::trace::detail::TlsBuffer = nullptr;
+constinit thread_local Buffer *iaa::trace::detail::TlsBuffer = nullptr;
 
 namespace {
 

@@ -51,8 +51,9 @@ class Buffer;
 namespace detail {
 extern std::atomic<bool> Enabled;
 /// The buffer receiving this thread's spans, or null for the process-wide
-/// one. Managed by BufferScope.
-extern thread_local Buffer *TlsBuffer;
+/// one. Managed by BufferScope. constinit for the reason given at
+/// stat::detail::TlsCollector.
+extern constinit thread_local Buffer *TlsBuffer;
 } // namespace detail
 
 /// The per-session buffer installed on this thread, or null when spans go

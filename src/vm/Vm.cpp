@@ -125,7 +125,12 @@ struct Machine {
   /// Kept out of line on purpose: gcc 12 otherwise inlines it into
   /// runChunk, and the inlined loop ran the sparse_large benchmark slower
   /// (1.41 vs 1.53 op/s, medians of 3 interleaved runs on 4 vCPUs).
-  [[gnu::noinline]] int64_t run() {
+  /// Cache-line aligned so that code added or removed elsewhere in the
+  /// library cannot move the dispatch loop across line boundaries: at 16
+  /// bytes past a line it cost the paper benchmark 10% more CPU per
+  /// operation than at 0 or 48 (medians of 6 interleaved runs, 4-vCPU
+  /// Xeon).
+  [[gnu::noinline, gnu::aligned(64)]] int64_t run() {
     prof::LoopRecorder *Rec = C.Rec;
     uint32_t LocalSkip = 1;
     uint32_t &Skip = C.ProfSkip ? *C.ProfSkip : LocalSkip;

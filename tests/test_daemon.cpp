@@ -449,6 +449,58 @@ TEST(SessionPrograms, ResidentProgramStateIsBounded) {
   EXPECT_EQ(V->member("checksum")->N, referenceChecksum(src(1)));
 }
 
+TEST(SessionPrograms, CompilesDoNotEvictRunState) {
+  // Compile requests read the artifact cache directly. They must neither
+  // build run state for programs that never run nor push a run program
+  // out of the session's bounded program map: A's interpreter, with its
+  // per-session VM compile accounting, survives 20 distinct compiles.
+  SessionHarness H;
+  Session S(H.env());
+  auto src = [](int K) {
+    return "program p\n  integer i\n  real x(10)\n"
+           "  lp: do i = 1, 10\n    x(i) = i * " + std::to_string(K) +
+           ".0\n  end do\nend\n";
+  };
+  const std::string RunA = requestLine("a", "run", src(1),
+                                       "\"engine\": \"vm\"");
+  expectStatus(S, RunA, "ok");
+  EXPECT_EQ(S.programCount(), 1u);
+  EXPECT_EQ(S.counters().value("vm_loops_compiled"), 1u);
+  for (int K = 2; K <= 21; ++K)
+    expectStatus(S, requestLine("c" + std::to_string(K), "compile", src(K)),
+                 "ok");
+  expectStatus(S, RunA, "ok");
+  EXPECT_EQ(S.programCount(), 1u);
+  EXPECT_EQ(S.counters().value("vm_loops_compiled"), 1u)
+      << "A's run state was rebuilt after the compiles";
+}
+
+TEST(SessionPrograms, RunningProgramStaysInArtifactCache) {
+  // A program a session keeps running stays recent in the shared artifact
+  // cache, so the session's pin never keeps an evicted copy alive beside
+  // the cache's bound: after 8 compiles through a 4-entry cache, another
+  // session still finds A there.
+  SessionHarness H;
+  ArtifactCache Small(/*MaxEntries=*/4);
+  SessionEnv Env = H.env();
+  Env.Artifacts = &Small;
+  Session S(Env);
+  auto src = [](int K) {
+    return "program p\n  integer i\n  real x(10)\n"
+           "  lp: do i = 1, 10\n    x(i) = i * " + std::to_string(K) +
+           ".0\n  end do\nend\n";
+  };
+  for (int K = 2; K <= 9; ++K) {
+    expectStatus(S, requestLine("a", "run", src(1)), "ok");
+    expectStatus(S, requestLine("c", "compile", src(K)), "ok");
+  }
+  Session Other(Env);
+  std::optional<json::Value> V =
+      json::parse(Other.handleLine(requestLine("b", "run", src(1))));
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(V->member("cache")->S, "hit");
+}
+
 //===----------------------------------------------------------------------===//
 // Session isolation
 //===----------------------------------------------------------------------===//

@@ -491,7 +491,7 @@ TEST(LocalityValidation, PredictedLinesBoundMeasuredFootprints) {
     for (const prof::ArrayProfile &A : LP.Arrays) {
       const sched::ArrayFootprint *F = footprintFor(Score, A.Name);
       ASSERT_NE(F, nullptr) << LP.Label << "/" << A.Name;
-      const uint64_t Predicted = F->predictLines(LP.NIter, Elems);
+      const uint64_t Predicted = F->predictLines(LP.Dispatch.NIter, Elems);
       EXPECT_LE(A.FootprintLines, Predicted)
           << LP.Label << "/" << A.Name << ": model must be an upper bound";
       EXPECT_LE(Predicted, A.FootprintLines * Elems)

@@ -277,8 +277,8 @@ TEST(ProfilerDispatch, ConditionalPassAndFailAreAttributed) {
     for (const prof::LoopProfile &LP : H.S.invocations())
       if (LP.Label == "scat") {
         Saw = true;
-        EXPECT_EQ(LP.Kind, prof::DispatchKind::CondParallel);
-        EXPECT_EQ(LP.Threads, 4u);
+        EXPECT_EQ(LP.Dispatch.Kind, prof::DispatchKind::CondParallel);
+        EXPECT_EQ(LP.Dispatch.Threads, 4u);
         EXPECT_GT(LP.InspectUs, 0.0);
       }
     EXPECT_TRUE(Saw);
@@ -303,7 +303,7 @@ TEST(ProfilerDispatch, ConditionalPassAndFailAreAttributed) {
     for (const prof::LoopProfile &LP : H.S.invocations())
       if (LP.Label == "scat") {
         Saw = true;
-        EXPECT_EQ(LP.Kind, prof::DispatchKind::CondSerial);
+        EXPECT_EQ(LP.Dispatch.Kind, prof::DispatchKind::CondSerial);
         EXPECT_GT(LP.InspectUs, 0.0);
       }
     EXPECT_TRUE(Saw);
@@ -318,7 +318,7 @@ TEST(ProfilerDispatch, ParallelLoopRecordsWorkerTimelines) {
     // Every recorded invocation carries a timeline, even serial ones
     // (synthesized single-worker lane with busy == wall).
     ASSERT_FALSE(LP.Workers.empty()) << LP.Label;
-    if (LP.Kind != prof::DispatchKind::Parallel)
+    if (LP.Dispatch.Kind != prof::DispatchKind::Parallel)
       continue;
     SawParallel = true;
     unsigned Chunks = 0;

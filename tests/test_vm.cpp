@@ -840,8 +840,8 @@ TEST(VmEngine, SerialLoopsRunAsBytecode) {
       if (LP.Label == "build")
         Build = &LP;
     ASSERT_NE(Build, nullptr);
-    EXPECT_EQ(Build->Kind, prof::DispatchKind::Serial);
-    EXPECT_EQ(Build->Engine, engineName(E));
+    EXPECT_EQ(Build->Dispatch.Kind, prof::DispatchKind::Serial);
+    EXPECT_EQ(Build->Dispatch.Engine, engineName(E));
     EXPECT_EQ(Stats.VmSerialLoopRuns, E == ExecEngine::Vm ? 1u : 0u);
   }
 }
