@@ -15,7 +15,9 @@
 //         [--remarks=out.jsonl] [--profile[=out.jsonl]]
 //
 //   --mode     pipeline configuration (default full)
-//   --run      execute the program (optionally in parallel with N threads)
+//   --run      execute the program (optionally in parallel with N threads):
+//              on real threads when N is at most the host's cores, on
+//              simulated processors (a timing model) past them
 //   --schedule loop scheduling policy for parallel runs (default static)
 //   --chunk    chunk size for the scheduler (default: policy-dependent)
 //   --engine   execution engine for loop bodies (default interp): vm
@@ -82,6 +84,7 @@
 #include "xform/Parallelizer.h"
 #include "xform/Postpass.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -89,6 +92,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 using namespace iaa;
 
@@ -395,7 +399,9 @@ int main(int argc, char **argv) {
     Par.OnFault = OnFault;
     Par.Cancel = Cancel.get();
     Par.MemLimitBytes = MemLimitBytes;
-    Par.Simulate = true; // Works on any host core count.
+    // Past the host's cores, threads would only time-slice; simulated
+    // processors model the speedup instead.
+    Par.Simulate = Threads > std::max(1u, std::thread::hardware_concurrency());
     if (Profile)
       Par.Prof = &ProfSession;
     interp::ExecStats ParStats;
@@ -411,9 +417,11 @@ int main(int argc, char **argv) {
     if (ParFS.Faulted)
       return ReportFault("parallel run", ParFS);
     const double ParallelChecksum = Parallel.checksumExcluding(Dead);
-    std::printf("parallel run (%u simulated processors, %s schedule): %.3fs "
+    std::printf("parallel run (%u %s, %s schedule): %.3fs "
                 "(speedup %.2f), checksum %.6f (%s)\n",
-                Threads, interp::scheduleName(Sched), ParStats.TotalSeconds,
+                Threads,
+                Par.Simulate ? "simulated processors" : "real threads",
+                interp::scheduleName(Sched), ParStats.TotalSeconds,
                 SeqStats.TotalSeconds / ParStats.TotalSeconds,
                 ParallelChecksum,
                 SerialChecksum == ParallelChecksum ? "matches serial"

@@ -1417,16 +1417,20 @@ private:
 
     if (Opts.Simulate) {
       // Model the same schedule the threaded path would run: greedy list
-      // scheduling on per-worker virtual clocks — the next chunk goes to
-      // the worker whose clock is lowest, exactly how a free thread is the
-      // one that grabs from the dispenser. The loop's virtual cost is the
-      // busiest worker's clock plus the fork/join overhead model.
+      // scheduling, where the next chunk goes to the worker that has run
+      // the fewest iterations (lowest id on ties), the way a free thread
+      // is the one that grabs from the dispenser. Picking by iterations
+      // rather than by measured clock keeps the chunk-to-worker assignment,
+      // and so the profile, identical from run to run. The loop's virtual
+      // cost is the busiest worker's measured clock plus the fork/join
+      // overhead model.
       std::vector<double> Clock(D.Threads, 0.0);
+      std::vector<int64_t> Iters(D.Threads, 0);
       std::vector<bool> Done(D.Threads, false);
       while (true) {
         unsigned W = D.Threads;
         for (unsigned C = 0; C < D.Threads; ++C)
-          if (!Done[C] && (W == D.Threads || Clock[C] < Clock[W]))
+          if (!Done[C] && (W == D.Threads || Iters[C] < Iters[W]))
             W = C;
         if (W == D.Threads)
           break;
@@ -1436,6 +1440,7 @@ private:
           Done[W] = true;
           continue;
         }
+        Iters[W] += Last - First + 1;
         // Simulated workers fault exactly like threaded ones: trap,
         // publish first-fault-wins, cancel the dispenser.
         try {

@@ -120,6 +120,17 @@ else
   echo "ok: serial and parallel checksums agree ($SERIAL)"
 fi
 
+# --run=N runs on real threads up to the host's cores (what
+# std::thread::hardware_concurrency reports) and on simulated processors
+# past them; the result line names which one ran.
+CORES=$(getconf _NPROCESSORS_ONLN)
+"$MFPAR" "$TMP/good.mf" --run="$CORES" >"$TMP/out" 2>"$TMP/err"
+grep -q "^parallel run ($CORES real threads," "$TMP/out" ||
+  { echo "FAIL: --run=$CORES did not run on real threads" >&2; FAILURES=$((FAILURES + 1)); }
+"$MFPAR" "$TMP/good.mf" --run=$((CORES + 1)) >"$TMP/out" 2>"$TMP/err"
+grep -q "^parallel run ($((CORES + 1)) simulated processors," "$TMP/out" ||
+  { echo "FAIL: --run=$((CORES + 1)) did not simulate" >&2; FAILURES=$((FAILURES + 1)); }
+
 # --on-fault=abort keeps the legacy behavior: the driver aborts the
 # process (SIGABRT = 134 from sh) after printing the fault.
 "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=abort >"$TMP/out" 2>"$TMP/err"

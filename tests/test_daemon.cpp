@@ -396,6 +396,36 @@ TEST(DaemonCache, EditedProgramChangesTheResult) {
   EXPECT_NE(R1->member("checksum")->N, R2->member("checksum")->N);
 }
 
+TEST(DaemonCache, HotProgramRidesTheCache) {
+  // One client re-running one program over the socket: the first request
+  // compiles, and every later one must ride the cache (a 19/20 hit rate)
+  // with the same result.
+  DaemonConfig Config;
+  Config.SocketPath = uniqueSocketPath("hot");
+  Config.ServiceThreads = 2;
+  Daemon D(Config);
+  std::string Err;
+  ASSERT_TRUE(D.start(&Err)) << Err;
+  Client Cl;
+  ASSERT_TRUE(Cl.connect(Config.SocketPath, &Err)) << Err;
+
+  const std::string Src = healthySource("hot");
+  const double Want = referenceChecksum(Src);
+  for (int R = 0; R < 20; ++R) {
+    std::string Id = "hot" + std::to_string(R), Out;
+    ASSERT_TRUE(Cl.roundTrip(requestLine(Id, "run", Src), Out, &Err)) << Err;
+    std::optional<json::Value> V = json::parse(Out);
+    ASSERT_TRUE(V && V->isObject()) << Out;
+    ASSERT_NE(V->member("status"), nullptr) << Out;
+    EXPECT_EQ(V->member("status")->S, "ok") << Out;
+    ASSERT_NE(V->member("checksum"), nullptr) << Out;
+    EXPECT_EQ(V->member("checksum")->N, Want) << Out;
+    ASSERT_NE(V->member("cache"), nullptr) << Out;
+    EXPECT_EQ(V->member("cache")->S, R == 0 ? "miss" : "hit") << Out;
+  }
+  D.stop();
+}
+
 TEST(DaemonCache, ParseFailureIsNegativelyCached) {
   ArtifactCache Cache;
   bool Hit = true;

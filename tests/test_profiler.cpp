@@ -616,4 +616,45 @@ TEST(ProfilerDeterminism, TinyChunksDoNotOversample) {
       << "1-iteration chunks must not defeat the sampling period";
 }
 
+TEST(ProfilerDeterminism, SimulatedDynamicAndGuidedRunsRepeat) {
+  // Simulated processors pick the next worker by iterations run, not by
+  // measured clock, so under dynamic and guided scheduling the
+  // chunk-to-worker assignment, and with it every worker's sample stream,
+  // does not follow the host's timing noise: two runs of the same program
+  // must grant the same chunks to the same workers and admit the same
+  // samples.
+  prof::SessionOptions O;
+  O.HardwareCounters = false;
+  const std::string Source = benchprogs::dyfesm(0.25).Source;
+  for (Schedule Sched : {Schedule::Dynamic, Schedule::Guided}) {
+    std::vector<unsigned> Chunks[2];
+    uint64_t Sampled[2] = {0, 0};
+    for (int Run = 0; Run < 2; ++Run) {
+      Profiled H(Source, O);
+      Interpreter I(*H.P);
+      ExecOptions Opts;
+      Opts.Plans = &H.Plan;
+      Opts.Threads = 4;
+      Opts.Sched = Sched;
+      Opts.Simulate = true;
+      Opts.Prof = &H.S;
+      I.run(Opts);
+      H.S.finalizeAnalysis();
+      for (const prof::LoopProfile &LP : H.S.invocations()) {
+        for (const prof::WorkerTimeline &W : LP.Workers)
+          Chunks[Run].push_back(W.Chunks);
+        for (const prof::ArrayProfile &A : LP.Arrays)
+          Sampled[Run] += A.Sampled;
+      }
+    }
+    EXPECT_FALSE(Chunks[0].empty()) << scheduleName(Sched);
+    EXPECT_GT(Sampled[0], 0u) << scheduleName(Sched);
+    EXPECT_EQ(Chunks[0], Chunks[1])
+        << scheduleName(Sched) << ": per-worker chunk counts must repeat";
+    EXPECT_EQ(Sampled[0], Sampled[1])
+        << scheduleName(Sched) << ": sampled accesses must repeat";
+  }
+}
+
 } // namespace
+
