@@ -8,7 +8,7 @@
 /// The experiments that measure what each runtime feature buys:
 ///
 ///  schedule      static, dynamic and guided on the Fig. 16 kernels;
-///  locality      --locality off/model/reorder on a skewed gather;
+///  locality      --locality off/reorder on a skewed gather;
 ///  recurrence    recurrence-promoted plans against runtime inspection;
 ///  runtime_check the inspector/executor on statically serial kernels;
 ///  profile       the sampling profiler's loop health and its overhead;
@@ -23,7 +23,7 @@
 #include "Experiments.h"
 
 #include "prof/Profiler.h"
-#include "sched/FootprintModel.h"
+#include "sched/Locality.h"
 #include "support/Json.h"
 
 #include <algorithm>
@@ -136,7 +136,7 @@ static std::string skewedGatherSource(int64_t M) {
 }
 
 /// For each locality mode and thread count (real threads): the profiler's
-/// per-worker distinct-line sum (the quantity the scheduler minimizes;
+/// per-worker distinct-line sum (the quantity the reorder minimizes;
 /// exact at sample period 1), the union footprint (schedule-invariant), LLC
 /// misses when perf counters are available (containers often refuse them,
 /// then null), and whether the checksum stayed bit-identical to serial.
@@ -151,7 +151,6 @@ void bench::locality() {
   const double Want = run(C, {}).Checksum;
 
   const sched::LocalityMode Modes[] = {sched::LocalityMode::Off,
-                                       sched::LocalityMode::Model,
                                        sched::LocalityMode::Reorder};
   JsonReport Report("locality");
   bool AllOk = true;

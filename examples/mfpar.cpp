@@ -9,9 +9,9 @@
 //
 //   mfpar FILE.mf [--mode=full|noiaa|apo] [--run[=THREADS]] [--dump]
 //         [--schedule=static|dynamic|guided] [--chunk=N]
-//         [--engine=interp|vm|both] [--locality=off|model|reorder]
+//         [--engine=interp|vm|both] [--locality=off|reorder]
 //         [--audit=off|warn|strict] [--race-check] [--runtime-check[=on|off]]
-//         [--on-fault=abort|report|replay] [--stats] [--trace=out.json]
+//         [--on-fault=report|replay] [--stats] [--trace=out.json]
 //         [--remarks=out.jsonl] [--profile[=out.jsonl]]
 //
 //   --mode     pipeline configuration (default full)
@@ -27,14 +27,11 @@
 //              the tree walk); both runs the interpreter first as a
 //              reference, then the VM, and reports a fault if the final
 //              memory images or fault verdicts diverge
-//   --locality locality-aware scheduling (default off): model lets the
-//              static footprint model pick schedule, chunk size, and
-//              line-aligned chunk boundaries per loop (overriding
-//              --schedule/--chunk for parallel loops); reorder additionally
-//              has the inspector bucket runtime-checked gather loops'
-//              iterations by target cache line and execute them in the
-//              permuted order (original last iteration stays last, so
-//              results are bit-identical; implies the model's picks)
+//   --locality locality-aware scheduling (default off): reorder has the
+//              inspector bucket runtime-checked gather loops' iterations by
+//              target cache line and execute them in the permuted order
+//              (original last iteration stays last, so results are
+//              bit-identical); --schedule/--chunk still apply
 //   --dump     print the normalized program after the transformation passes
 //   --annotate print the program with !$iaa parallel do directives
 //   --audit    independently re-certify every parallel-marked loop before
@@ -51,8 +48,7 @@
 //   --on-fault what a parallel-worker fault does to the loop (default
 //              replay): replay rolls the loop's shared write set back to
 //              the pre-dispatch snapshot and re-executes it serially;
-//              report rolls back and stops with the fault; abort skips the
-//              snapshot and aborts the process (legacy behavior)
+//              report rolls back and stops with the fault
 //   --stats    print the statistic counters and per-phase timings
 //   --trace    write a Chrome trace-event JSON file (chrome://tracing)
 //   --remarks  write optimization remarks as JSONL, one record per loop
@@ -101,9 +97,9 @@ static int usage() {
                "usage: mfpar [FILE.mf] [--mode=full|noiaa|apo] "
                "[--run[=THREADS]] [--schedule=static|dynamic|guided] "
                "[--chunk=N] [--engine=interp|vm|both] "
-               "[--locality=off|model|reorder] "
+               "[--locality=off|reorder] "
                "[--audit=off|warn|strict] [--race-check] "
-               "[--runtime-check[=on|off]] [--on-fault=abort|report|replay] "
+               "[--runtime-check[=on|off]] [--on-fault=report|replay] "
                "[--deadline-ms=N] [--mem-limit-mb=N] "
                "[--dump] [--annotate] [--stats] "
                "[--trace=FILE] [--remarks=FILE] [--profile[=FILE]]\n");
@@ -191,8 +187,7 @@ int main(int argc, char **argv) {
         return badValue("--engine", Arg.substr(9), "interp, vm, or both");
     } else if (Arg.rfind("--locality=", 0) == 0) {
       if (!sched::parseLocalityMode(Arg.substr(11), Locality))
-        return badValue("--locality", Arg.substr(11),
-                        "off, model, or reorder");
+        return badValue("--locality", Arg.substr(11), "off or reorder");
     } else if (Arg.rfind("--audit=", 0) == 0) {
       if (!verify::parseAuditMode(Arg.substr(8), Audit))
         return badValue("--audit", Arg.substr(8), "off, warn, or strict");
@@ -210,8 +205,7 @@ int main(int argc, char **argv) {
         return badValue("--runtime-check", V, "on or off");
     } else if (Arg.rfind("--on-fault=", 0) == 0) {
       if (!interp::parseFaultAction(Arg.substr(11), OnFault))
-        return badValue("--on-fault", Arg.substr(11),
-                        "abort, report, or replay");
+        return badValue("--on-fault", Arg.substr(11), "report or replay");
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
       if (!parseInt(Arg.substr(14), DeadlineMs) || DeadlineMs <= 0 ||
           DeadlineMs > 86400000)
@@ -310,15 +304,10 @@ int main(int argc, char **argv) {
   // Reports a run that ended on an unrecovered runtime fault. Exit code 4,
   // except resource-limit faults, which get their own codes so scripts can
   // tell "the program is wrong" from "the budget was wrong": 5 for a blown
-  // --deadline-ms, 6 for a blown --mem-limit-mb. Under --on-fault=abort the
-  // process aborts instead (legacy behavior — the interpreter itself always
-  // unwinds cleanly, the abort is ours).
-  auto ReportFault = [&OnFault](const char *What,
-                                const interp::FaultState &FS) {
+  // --deadline-ms, 6 for a blown --mem-limit-mb.
+  auto ReportFault = [](const char *What, const interp::FaultState &FS) {
     std::fprintf(stderr, "mfpar: %s faulted: %s\n", What,
                  FS.Fault.str().c_str());
-    if (OnFault == interp::FaultAction::Abort)
-      std::abort();
     switch (FS.Fault.Kind) {
     case interp::FaultKind::DeadlineExceeded:
       return 5;
@@ -447,11 +436,8 @@ int main(int argc, char **argv) {
                     ParStats.BothMismatches == 1 ? "" : "es");
     }
     if (Locality != sched::LocalityMode::Off) {
-      std::printf("locality (%s): %u model pick%s, %u reorder%s built, "
-                  "%u cached\n",
+      std::printf("locality (%s): %u reorder%s built, %u cached\n",
                   sched::localityModeName(Locality),
-                  ParStats.LocalityModelPicks,
-                  ParStats.LocalityModelPicks == 1 ? "" : "s",
                   ParStats.LocalityReorders,
                   ParStats.LocalityReorders == 1 ? "" : "s",
                   ParStats.LocalityReordersCached);

@@ -30,7 +30,6 @@ const char *interp::faultKindName(FaultKind K) {
 
 const char *interp::faultActionName(FaultAction A) {
   switch (A) {
-  case FaultAction::Abort:  return "abort";
   case FaultAction::Report: return "report";
   case FaultAction::Replay: return "replay";
   }
@@ -38,9 +37,7 @@ const char *interp::faultActionName(FaultAction A) {
 }
 
 bool interp::parseFaultAction(const std::string &Name, FaultAction &Out) {
-  if (Name == "abort")
-    Out = FaultAction::Abort;
-  else if (Name == "report")
+  if (Name == "report")
     Out = FaultAction::Report;
   else if (Name == "replay")
     Out = FaultAction::Replay;

@@ -159,11 +159,6 @@ struct FaultState {
 
 /// What the runtime does when a parallel worker faults.
 enum class FaultAction {
-  /// Propagate the first fault immediately with no rollback: shared state
-  /// may be torn, exactly like the historical abort-from-a-worker behavior
-  /// (the process-level abort itself is the driver's decision; the
-  /// interpreter always unwinds cleanly).
-  Abort,
   /// Roll the loop's shared write set back to the pre-dispatch snapshot,
   /// then propagate the fault.
   Report,
@@ -176,7 +171,7 @@ enum class FaultAction {
 
 const char *faultActionName(FaultAction A);
 
-/// Parses "abort" / "report" / "replay"; false on anything else.
+/// Parses "report" / "replay"; false on anything else.
 bool parseFaultAction(const std::string &Name, FaultAction &Out);
 
 /// The unwinding vehicle for contained faults. Thrown at the fault site,

@@ -42,8 +42,6 @@ IAA_STAT(interp_inspections_cached,
          "Runtime-check verdicts served from the version cache");
 IAA_STAT(interp_runtime_check_fails,
          "Runtime-check decisions that fell back to serial");
-IAA_STAT(interp_locality_model_picks,
-         "Parallel dispatches scheduled by the locality footprint model");
 IAA_STAT(interp_locality_reorders,
          "Fresh locality iteration permutations built by the inspector");
 IAA_STAT(interp_locality_reorders_cached,
@@ -102,7 +100,6 @@ const PublishedCounter Published[] = {
     {interp_inspections_run, &ExecStats::InspectionsRun},
     {interp_inspections_cached, &ExecStats::InspectionsCached},
     {interp_runtime_check_fails, &ExecStats::RuntimeCheckFails},
-    {interp_locality_model_picks, &ExecStats::LocalityModelPicks},
     {interp_locality_reorders, &ExecStats::LocalityReorders},
     {interp_locality_reorders_cached, &ExecStats::LocalityReordersCached},
     {interp_faults_trapped, &ExecStats::WorkerFaults},
@@ -388,7 +385,7 @@ namespace interp {
 /// set and engine, so version-keyed entries (inspection verdicts, locality
 /// permutations) hit exactly when the inspected data is bit-identical to
 /// the run that populated them. The structural memos (body weights, write
-/// sets, bytecode, model picks, nested plans) depend on the AST and plans.
+/// sets, bytecode, nested plans) depend on the AST and plans.
 class RuntimeCaches {
 public:
   /// Static body-weight estimates for the profitability guard.
@@ -410,15 +407,6 @@ public:
     std::shared_ptr<const std::vector<int64_t>> Order;
   };
   std::map<const mf::DoStmt *, InspectionEntry> InspectionCache;
-
-  /// Memoized footprint-model pick for one loop.
-  struct ModelEntry {
-    int64_t NIter = -1;
-    unsigned Threads = 0;
-    sched::SchedulePick Pick;
-  };
-  std::map<const mf::DoStmt *, ModelEntry> ModelCache;
-  std::optional<sched::GatherFootprintModel> Model;
 
   /// Memoized per-loop write sets for post-join version bumps.
   std::map<const mf::DoStmt *, std::vector<const mf::Symbol *>> LoopWriteSets;
@@ -561,7 +549,7 @@ private:
     /// Fork width (> 1 exactly when forking), schedule and chunking.
     unsigned Threads = 1;
     Schedule Sched = Schedule::Static;
-    int64_t ChunkSize = 0, Align = 1;
+    int64_t ChunkSize = 0;
     /// Iteration order held by the loop's inspection-cache entry, or null
     /// for source order.
     const std::vector<int64_t> *Order = nullptr;
@@ -1190,10 +1178,10 @@ private:
 
   /// Decides how one do-loop invocation runs, as plain data. Evaluates the
   /// bounds, then consults the plan, the inspector, the profitability
-  /// guard, the locality model and the bytecode compiler; runs no iteration
-  /// (an inspection's index-array scan is the one exception). Plans are
-  /// consulted only in serial context: inside a parallel worker or a fault
-  /// replay every loop runs serially.
+  /// guard and the bytecode compiler; runs no iteration (an inspection's
+  /// index-array scan is the one exception). Plans are consulted only in
+  /// serial context: inside a parallel worker or a fault replay every loop
+  /// runs serially.
   Dispatch decide(const DoStmt *DS, Frame &F) {
     Dispatch D;
     D.Lo = eval(DS->lower(), F).asInt();
@@ -1256,22 +1244,10 @@ private:
       return D;
     }
 
-    // Locality-aware scheduling: under Model/Reorder the footprint model
-    // overrides the dispenser's policy, chunk size, and alignment (an
-    // inspected loop's reorder was picked above). Either way the result is
-    // bit-identical to the source order (the permutation pins the final
-    // iteration last, preserving last-value semantics).
     D.Threads = static_cast<unsigned>(
         std::min<int64_t>(Opts.Threads, D.NIter));
     D.Sched = Opts.Sched;
     D.ChunkSize = Opts.ChunkSize;
-    if (Opts.Locality != sched::LocalityMode::Off) {
-      const sched::SchedulePick &Pick = modelPickFor(DS, D.NIter, D.Threads);
-      D.Sched = Pick.Sched;
-      D.ChunkSize = Pick.ChunkSize;
-      D.Align = Pick.Align;
-      ++Stats.LocalityModelPicks;
-    }
     // Engine selection: under --engine=vm a compiled program runs the
     // chunks as register bytecode; a bailout (or interp engine) keeps the
     // tree walk. Everything around the chunk body is engine-agnostic.
@@ -1357,19 +1333,16 @@ private:
       }
     };
 
-    // Fault containment: under Report/Replay the dispatch is a transaction.
-    // Snapshot every buffer the loop MAY write (the conservative
-    // SymbolUses-derived write set — sound even when the plan under test
-    // was mutated) so a trapped worker fault can roll the loop back to its
-    // pre-dispatch state. Abort keeps the legacy no-snapshot semantics.
-    const bool Transactional = Opts.OnFault != FaultAction::Abort;
+    // Fault containment: the dispatch is a transaction. Snapshot every
+    // buffer the loop MAY write (the conservative SymbolUses-derived write
+    // set — sound even when the plan under test was mutated) so a trapped
+    // worker fault can roll the loop back to its pre-dispatch state.
     std::vector<std::pair<const Symbol *, Buffer>> Snapshot;
-    if (Transactional)
-      for (const Symbol *S : loopWriteSet(DS))
-        Snapshot.emplace_back(S, Mem.buffer(S));
+    for (const Symbol *S : loopWriteSet(DS))
+      Snapshot.emplace_back(S, Mem.buffer(S));
     FaultSlot Faults;
 
-    ChunkDispenser Disp(D.Lo, D.Up, D.Threads, D.Sched, D.ChunkSize, D.Align);
+    ChunkDispenser Disp(D.Lo, D.Up, D.Threads, D.Sched, D.ChunkSize);
 
     // Runs one dispensed chunk on worker W; returns its seconds (including
     // the first chunk's private-copy construction — it parallelizes too).
@@ -1423,7 +1396,10 @@ private:
       // rather than by measured clock keeps the chunk-to-worker assignment,
       // and so the profile, identical from run to run. The loop's virtual
       // cost is the busiest worker's measured clock plus the fork/join
-      // overhead model.
+      // overhead model: a fixed 50 us plus 3 us per processor (not yet
+      // calibrated against the host; Fig. 16's model points use them).
+      constexpr double SimForkSeconds = 50e-6;
+      constexpr double SimForkSecondsPerProc = 3e-6;
       std::vector<double> Clock(D.Threads, 0.0);
       std::vector<int64_t> Iters(D.Threads, 0);
       std::vector<bool> Done(D.Threads, false);
@@ -1455,7 +1431,7 @@ private:
         SumChunks += Clock[W];
         MaxClock = std::max(MaxClock, Clock[W]);
       }
-      double Overhead = Opts.ForkAlpha + Opts.ForkBeta * D.Threads;
+      double Overhead = SimForkSeconds + SimForkSecondsPerProc * D.Threads;
       VirtualAdjust += SumChunks - (MaxClock + Overhead);
     } else {
       poolFor(D.Threads)->run(D.Threads, [&](unsigned W) {
@@ -1509,10 +1485,6 @@ private:
     if (NFaults) {
       Stats.WorkerFaults += NFaults;
       RuntimeFault First = std::move(*Faults.First);
-      // Abort: no snapshot exists, shared state is possibly torn.
-      // Propagate and let the driver decide whether to kill the process.
-      if (!Transactional)
-        throw FaultException(std::move(First));
 
       // Roll the transaction back: restore every MAY-written buffer,
       // version counter included. The restored bytes are exactly the
@@ -1760,30 +1732,6 @@ private:
   //===--------------------------------------------------------------------===//
   // Locality-aware scheduling (ExecOptions::Locality)
   //===--------------------------------------------------------------------===//
-
-  /// The footprint model's schedule pick for \p DS, memoized per loop and
-  /// revalidated when the trip count or worker count changes (the scored
-  /// body is static, so those are the only inputs that can move the pick).
-  const sched::SchedulePick &modelPickFor(const DoStmt *DS, int64_t NIter,
-                                          unsigned T) {
-    auto [It, Inserted] = C.ModelCache.try_emplace(DS);
-    RuntimeCaches::ModelEntry &E = It->second;
-    if (Inserted || E.NIter != NIter || E.Threads != T) {
-      if (!C.Model)
-        C.Model.emplace(Prog);
-      const xform::LoopPlan *Plan = nullptr;
-      if (Opts.Plans) {
-        if (const xform::LoopPlan *P = Opts.Plans->planFor(DS))
-          Plan = P;
-        else if (const xform::LoopPlan *C = Opts.Plans->conditionalPlanFor(DS))
-          Plan = C;
-      }
-      E.Pick = C.Model->pick(C.Model->score(DS, Plan), NIter, T);
-      E.NIter = NIter;
-      E.Threads = T;
-    }
-    return E.Pick;
-  }
 
   /// The locality permutation for a conditional loop whose inspection
   /// \p E passed, cached in that verdict entry — so it is keyed like the

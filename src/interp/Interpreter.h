@@ -28,7 +28,7 @@
 #include "interp/Fault.h"
 #include "interp/ThreadPool.h"
 #include "mf/Program.h"
-#include "sched/FootprintModel.h"
+#include "sched/Locality.h"
 #include "support/Remarks.h"
 #include "xform/Parallelizer.h"
 
@@ -139,14 +139,12 @@ struct ExecOptions {
   /// Worker count for parallel loops.
   unsigned Threads = 1;
   /// Simulated multiprocessor mode: chunks run sequentially, each timed,
-  /// and a parallel loop costs max(chunk times) plus a fork/join overhead
-  /// of ForkAlpha + ForkBeta * Threads seconds. Semantically identical to
-  /// the threaded mode; used to reproduce the Fig. 16 speedup curves on
-  /// hosts without enough cores (speedup *shape* — Amdahl fractions, load
+  /// and a parallel loop costs max(chunk times) plus a modelled fork/join
+  /// overhead of 50 us + 3 us per processor. Semantically identical to the
+  /// threaded mode; used to reproduce the Fig. 16 speedup curves on hosts
+  /// without enough cores (speedup *shape* — Amdahl fractions, load
   /// imbalance, per-invocation overhead — is preserved).
   bool Simulate = false;
-  double ForkAlpha = 50e-6;
-  double ForkBeta = 3e-6;
   /// Profitability heuristic: a marked-parallel loop only forks when its
   /// estimated work (trip count times a static body weight, nested loops
   /// assumed 16 iterations) reaches this threshold. Vendor parallelizers
@@ -174,31 +172,27 @@ struct ExecOptions {
   /// repeated invocations skip re-inspection until an index array is
   /// rewritten. Only meaningful together with Plans and Threads > 1.
   bool RuntimeChecks = false;
-  /// Fault-containment policy for parallel loops. Under Report and Replay,
-  /// every parallel (or runtime-conditional) dispatch snapshots the loop's
-  /// MAY-written shared buffers first; a worker fault is trapped locally,
-  /// published first-fault-wins, cancels the chunk dispenser, and after the
-  /// join the snapshot is rolled back — contents *and* version counters,
-  /// since the restored bytes are exactly the pre-loop bytes, so inspector
-  /// verdicts and locality permutations cached against them stay valid.
-  /// Replay additionally
-  /// re-executes the loop serially: it either reproduces the fault with
-  /// exact serial attribution or completes correctly when the fault was an
-  /// artifact of parallel execution. Abort skips the snapshot and
-  /// propagates the first fault with shared state possibly torn (legacy
-  /// semantics, minus the process abort). Serial faults always unwind to
-  /// Interpreter::faultState() regardless of this setting.
+  /// Fault-containment policy for parallel loops. Every parallel (or
+  /// runtime-conditional) dispatch snapshots the loop's MAY-written shared
+  /// buffers first; a worker fault is trapped locally, published
+  /// first-fault-wins, cancels the chunk dispenser, and after the join the
+  /// snapshot is rolled back — contents *and* version counters, since the
+  /// restored bytes are exactly the pre-loop bytes, so inspector verdicts
+  /// and locality permutations cached against them stay valid.
+  /// Report then propagates the fault. Replay re-executes the loop
+  /// serially: it either reproduces the fault with exact serial attribution
+  /// or completes correctly when the fault was an artifact of parallel
+  /// execution. Serial faults always unwind to Interpreter::faultState()
+  /// regardless of this setting.
   FaultAction OnFault = FaultAction::Replay;
   /// Test-only fault-injection hook (see FaultInjectionHook); null in
   /// production runs.
   const FaultInjectionHook *Injector = nullptr;
-  /// Locality-aware scheduling (sched/FootprintModel.h). Model lets the
-  /// static GatherFootprintModel override Sched/ChunkSize (and align chunk
-  /// boundaries to cache lines) per parallel loop; Reorder additionally
-  /// executes runtime-conditional loops that passed inspection in the
-  /// inspector's line-bucketed iteration order (permutations are cached
-  /// under the same Buffer::Version keys as inspection verdicts). Results
-  /// are bit-identical across all modes.
+  /// Locality-aware scheduling (sched/Locality.h). Reorder executes
+  /// runtime-conditional loops that passed inspection in the inspector's
+  /// line-bucketed iteration order (permutations are cached under the same
+  /// Buffer::Version keys as inspection verdicts); every loop is still
+  /// scheduled by Sched/ChunkSize. Results are bit-identical across modes.
   sched::LocalityMode Locality = sched::LocalityMode::Off;
   /// Memory-access profiling session (prof/Profiler.h); null disables all
   /// profiling hooks. The interpreter records, per labeled-loop
@@ -322,8 +316,10 @@ struct ExecStats {
   std::vector<RuntimeDecision> RuntimeDecisions;
 
   /// Locality-aware scheduling (ExecOptions::Locality).
-  unsigned LocalityModelPicks = 0; ///< Parallel dispatches scheduled by the
-                                   ///< footprint model.
+  /// Always 0: the static footprint model that counted here was removed
+  /// (reorder is the one locality mechanism). The field stays because the
+  /// end-to-end benchmark still reads it.
+  unsigned LocalityModelPicks = 0;
   unsigned LocalityReorders = 0;   ///< Fresh iteration permutations built.
   unsigned LocalityReordersCached = 0; ///< Permutations reused from cache.
 

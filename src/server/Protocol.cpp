@@ -166,7 +166,7 @@ std::optional<Request> server::parseRequest(const std::string &Line,
   }
   if (const json::Value *V = Doc->member("locality")) {
     if (!V->isString() || !sched::parseLocalityMode(V->S, R.Locality)) {
-      Err = "'locality' must be off, model, or reorder";
+      Err = "'locality' must be off or reorder";
       return std::nullopt;
     }
   }
@@ -185,12 +185,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
   if (const json::Value *V = Doc->member("on_fault")) {
     if (!V->isString() || !interp::parseFaultAction(V->S, R.OnFault)) {
       Err = "'on_fault' must be report or replay";
-      return std::nullopt;
-    }
-    // A tenant must not disable the shared process's fault containment:
-    // abort skips the rollback snapshot and kills the daemon on a fault.
-    if (R.OnFault == interp::FaultAction::Abort) {
-      Err = "'on_fault' abort is not allowed in the compile service";
       return std::nullopt;
     }
   }

@@ -16,7 +16,7 @@
 ///                 "mode"?: "full"|"noiaa"|"apo",
 ///                 "threads"?: int, "schedule"?: string, "chunk"?: int,
 ///                 "engine"?: "interp"|"vm"|"both",
-///                 "locality"?: "off"|"model"|"reorder",
+///                 "locality"?: "off"|"reorder",
 ///                 "audit"?: "off"|"warn"|"strict",
 ///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
 ///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
@@ -37,7 +37,7 @@
 
 #include "interp/Interpreter.h"
 #include "interp/ThreadPool.h"
-#include "sched/FootprintModel.h"
+#include "sched/Locality.h"
 #include "verify/PlanAudit.h"
 #include "xform/Parallelizer.h"
 
@@ -72,8 +72,6 @@ struct Request {
   sched::LocalityMode Locality = sched::LocalityMode::Off;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RuntimeChecks = false;
-  /// Abort is refused at parse time: a tenant must never be able to ask
-  /// the shared daemon process to skip fault containment.
   interp::FaultAction OnFault = interp::FaultAction::Replay;
   bool Simulate = false;
   bool Profile = false;  ///< Inline the per-loop profile JSONL in the reply.

@@ -96,7 +96,7 @@ Response Session::handleRun(const Request &R) {
   Opts.Engine = R.Engine;
   Opts.Locality = R.Locality;
   Opts.RuntimeChecks = R.RuntimeChecks;
-  Opts.OnFault = R.OnFault; // Abort was refused at the protocol boundary.
+  Opts.OnFault = R.OnFault;
   Opts.Simulate = R.Simulate;
   Opts.Cancel = Token.get();
   Opts.MemLimitBytes = static_cast<size_t>(MemLimitMb) << 20;

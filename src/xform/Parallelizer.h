@@ -78,9 +78,8 @@ struct LoopPlan {
   std::vector<deptest::RuntimeCheck> FallbackChecks;
   /// The index array driving the loop's irregular accesses (an injective
   /// gather/scatter check's index when one exists, else the first checked
-  /// index array). The locality scheduler treats it as the gather source:
-  /// the footprint model scores the loop as a gather, and the inspector's
-  /// reorder pass buckets iterations by the cache line its entries target.
+  /// index array). The inspector's locality reorder pass buckets
+  /// iterations by the cache line its entries target.
   /// Null when the loop has no runtime-checked index array.
   const mf::Symbol *LocalityIndexArray = nullptr;
   /// Every symbol the loop body MAY write (transitively through calls),

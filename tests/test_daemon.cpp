@@ -206,6 +206,8 @@ TEST(DaemonProtocol, MalformedFramesAreStructuredErrors) {
       "{\"op\": \"run\", \"source\": \"x\", \"schedule\": \"gided\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"engine\": \"jit\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"locality\": \"maybe\"}",
+      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
+      "\"locality\": \"model\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"audit\": \"sometimes\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"deadline_ms\": -1}",
       "{\"op\": \"run\", \"source\": \"x\", \"deadline_ms\": 1e300}",

@@ -448,29 +448,6 @@ TEST(FaultSweep, ContainedUnderEveryScheduleAndThreadCount) {
       }
 }
 
-TEST(FaultSweep, AbortModePropagatesWithoutRollback) {
-  Harness H(SharedScale);
-  for (Schedule S : AllSchedules) {
-    verify::FaultInjector Inj;
-    Inj.faultAt("lp", 1000);
-    Interpreter I(*H.P);
-    ExecOptions Opts;
-    Opts.Plans = &H.Plan;
-    Opts.Threads = 4;
-    Opts.Sched = S;
-    Opts.MinParallelWork = 0;
-    Opts.OnFault = FaultAction::Abort;
-    Opts.Injector = &Inj;
-    I.run(Opts);
-    const FaultState &FS = I.faultState();
-    ASSERT_TRUE(FS.Faulted) << scheduleName(S);
-    EXPECT_EQ(FS.Fault.Kind, FaultKind::Injected) << scheduleName(S);
-    EXPECT_EQ(FS.Rollbacks, 0u)
-        << scheduleName(S) << ": abort mode must not snapshot or roll back";
-    EXPECT_EQ(FS.Replays, 0u) << scheduleName(S);
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Stale-state regression pins
 //===----------------------------------------------------------------------===//

@@ -5,14 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Tests for locality-aware scheduling: the GatherFootprintModel's access
-/// classification and schedule picks; the inspector's iteration-reorder
-/// pass (bijection, line bucketing, last-iteration pinning, refusal
-/// cases); checksum bit-identity across every --locality mode x schedule
-/// x thread count; verdict/permutation cache reuse across invocations;
-/// the model's line predictions validated against the profiler's measured
-/// footprints; and fault containment under a reordered dispatch (rollback
-/// + serial replay with original-order iteration attribution).
+/// Tests for locality-aware scheduling: the --locality knob's names; the
+/// inspector's iteration-reorder pass (bijection, line bucketing,
+/// last-iteration pinning, refusal cases); checksum bit-identity across
+/// every --locality mode x schedule x thread count; verdict/permutation
+/// cache reuse across invocations; and fault containment under a reordered
+/// dispatch (rollback + serial replay with original-order iteration
+/// attribution).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,12 +19,10 @@
 
 #include "interp/Inspector.h"
 #include "interp/Interpreter.h"
-#include "prof/Profiler.h"
-#include "sched/FootprintModel.h"
+#include "sched/Locality.h"
 #include "verify/FaultInjector.h"
 #include "xform/Parallelizer.h"
 
-#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -40,7 +37,6 @@ const Schedule AllSchedules[] = {Schedule::Static, Schedule::Dynamic,
                                  Schedule::Guided};
 const unsigned ThreadCounts[] = {1, 2, 4, 7};
 const sched::LocalityMode AllModes[] = {sched::LocalityMode::Off,
-                                        sched::LocalityMode::Model,
                                         sched::LocalityMode::Reorder};
 
 /// Gather/scatter whose index array is a permutation of 1..n at run time
@@ -94,11 +90,6 @@ struct Harness {
     Plan = xform::parallelize(*P, xform::PipelineMode::Full);
   }
 
-  const DoStmt *loop(const std::string &Label) {
-    const xform::LoopReport *R = Plan.reportFor(Label);
-    return R ? R->Loop : nullptr;
-  }
-
   double serialChecksum() {
     Interpreter I(*P);
     Memory Serial = I.run(ExecOptions{});
@@ -123,158 +114,21 @@ struct Harness {
   }
 };
 
-const sched::ArrayFootprint *footprintFor(const sched::FootprintScore &S,
-                                          const std::string &Name) {
-  for (const sched::ArrayFootprint &A : S.Arrays)
-    if (A.Array && A.Array->name() == Name)
-      return &A;
-  ADD_FAILURE() << "no footprint for array " << Name << " in\n" << S.str();
-  return nullptr;
-}
-
 //===----------------------------------------------------------------------===//
-// GatherFootprintModel: access classification
+// The --locality knob
 //===----------------------------------------------------------------------===//
 
-TEST(LocalityModel, ParsesAndNamesModes) {
+TEST(LocalityMode, ParsesAndNamesModes) {
   sched::LocalityMode M;
   EXPECT_TRUE(sched::parseLocalityMode("off", M));
   EXPECT_EQ(M, sched::LocalityMode::Off);
-  EXPECT_TRUE(sched::parseLocalityMode("model", M));
-  EXPECT_EQ(M, sched::LocalityMode::Model);
   EXPECT_TRUE(sched::parseLocalityMode("reorder", M));
   EXPECT_EQ(M, sched::LocalityMode::Reorder);
   EXPECT_FALSE(sched::parseLocalityMode("reoder", M));
+  EXPECT_FALSE(sched::parseLocalityMode("model", M));
+  EXPECT_STREQ(sched::localityModeName(sched::LocalityMode::Off), "off");
   EXPECT_STREQ(sched::localityModeName(sched::LocalityMode::Reorder),
                "reorder");
-}
-
-TEST(LocalityModel, ClassifiesAccessPatterns) {
-  Harness H(R"(program t
-    integer i, n
-    integer ind(512)
-    real x(512), y(512), z(512)
-    n = 512
-    init: do i = 1, n
-      ind(i) = mod(i * 7, n) + 1
-      x(i) = i * 0.5
-      y(i) = 0.0
-      z(i) = 1.0
-    end do
-    cont: do i = 1, n
-      y(i) = x(i) * 2.0
-    end do
-    strid: do i = 1, 64
-      y(i * 8) = x(i * 8) + 1.0
-    end do
-    gath: do i = 1, n
-      y(i) = z(ind(i))
-    end do
-  end)");
-  sched::GatherFootprintModel Model(*H.P);
-  ASSERT_EQ(Model.lineElems(), sched::DefaultLineElems);
-
-  sched::FootprintScore Cont = Model.score(H.loop("cont"));
-  EXPECT_FALSE(Cont.HasGather);
-  const sched::ArrayFootprint *Fx = footprintFor(Cont, "x");
-  ASSERT_NE(Fx, nullptr);
-  EXPECT_EQ(Fx->Pattern, sched::AccessPattern::Contiguous);
-  EXPECT_FALSE(Fx->Written);
-  const sched::ArrayFootprint *Fy = footprintFor(Cont, "y");
-  ASSERT_NE(Fy, nullptr);
-  EXPECT_TRUE(Fy->Written);
-  // Two contiguous arrays: 2/8 lines per iteration, 2 sites per line x 8.
-  EXPECT_NEAR(Cont.LinesPerIter, 0.25, 1e-12);
-  EXPECT_NEAR(Cont.ReuseDensity, 8.0, 1e-9);
-
-  sched::FootprintScore Strid = Model.score(H.loop("strid"));
-  const sched::ArrayFootprint *Sy = footprintFor(Strid, "y");
-  ASSERT_NE(Sy, nullptr);
-  EXPECT_EQ(Sy->Pattern, sched::AccessPattern::Strided);
-  EXPECT_EQ(Sy->Stride, 8);
-  // Stride == line size: a fresh line per access per array.
-  EXPECT_NEAR(Strid.LinesPerIter, 2.0, 1e-12);
-  EXPECT_NEAR(Strid.ReuseDensity, 1.0, 1e-9);
-
-  sched::FootprintScore Gath = Model.score(H.loop("gath"));
-  EXPECT_TRUE(Gath.HasGather);
-  ASSERT_NE(Gath.GatherIndex, nullptr);
-  EXPECT_EQ(Gath.GatherIndex->name(), "ind");
-  const sched::ArrayFootprint *Gz = footprintFor(Gath, "z");
-  ASSERT_NE(Gz, nullptr);
-  EXPECT_EQ(Gz->Pattern, sched::AccessPattern::Gather);
-  ASSERT_NE(Gz->IndexArray, nullptr);
-  EXPECT_EQ(Gz->IndexArray->name(), "ind");
-  // The index array itself is a contiguous read of the gather.
-  const sched::ArrayFootprint *Gi = footprintFor(Gath, "ind");
-  ASSERT_NE(Gi, nullptr);
-  EXPECT_EQ(Gi->Pattern, sched::AccessPattern::Contiguous);
-}
-
-TEST(LocalityModel, PicksScheduleByPattern) {
-  Harness H(R"(program t
-    integer i, n
-    integer ind(512)
-    real x(512), y(512)
-    n = 512
-    init: do i = 1, n
-      ind(i) = mod(i * 3, n) + 1
-      x(i) = i * 0.5
-      y(i) = 0.0
-    end do
-    reuse: do i = 1, n
-      y(i) = x(i) * 2.0
-    end do
-    stream: do i = 1, 64
-      y(i * 8) = x(i * 8) + 1.0
-    end do
-    gath: do i = 1, n
-      y(i) = x(ind(i))
-    end do
-  end)");
-  sched::GatherFootprintModel Model(*H.P);
-
-  sched::SchedulePick G =
-      Model.pick(Model.score(H.loop("gath")), 512, 4);
-  EXPECT_EQ(G.Sched, Schedule::Static)
-      << "gathers want contiguous per-worker blocks: " << G.Rationale;
-  EXPECT_EQ(G.Align, int64_t(sched::DefaultLineElems));
-
-  sched::SchedulePick R =
-      Model.pick(Model.score(H.loop("reuse")), 512, 4);
-  EXPECT_EQ(R.Sched, Schedule::Static) << R.Rationale;
-  EXPECT_EQ(R.Align, int64_t(sched::DefaultLineElems));
-
-  sched::SchedulePick S =
-      Model.pick(Model.score(H.loop("stream")), 64, 4);
-  EXPECT_EQ(S.Sched, Schedule::Guided)
-      << "streaming loops want guided tails: " << S.Rationale;
-  EXPECT_EQ(S.ChunkSize, int64_t(sched::DefaultLineElems));
-
-  // Tiny trip counts drop the alignment: rounding would idle workers.
-  sched::SchedulePick Tiny =
-      Model.pick(Model.score(H.loop("reuse")), 4, 4);
-  EXPECT_EQ(Tiny.Align, 1);
-}
-
-TEST(LocalityModel, PredictLinesClosedForms) {
-  sched::ArrayFootprint A;
-  A.Accesses = 1;
-  A.Pattern = sched::AccessPattern::Contiguous;
-  EXPECT_EQ(A.predictLines(1000, 8), 125u);
-  A.Pattern = sched::AccessPattern::Strided;
-  A.Stride = 2;
-  EXPECT_EQ(A.predictLines(1000, 8), 250u);
-  A.Stride = 16; // Wider than a line: still at most one line per iter.
-  EXPECT_EQ(A.predictLines(1000, 8), 1000u);
-  A.Pattern = sched::AccessPattern::Gather;
-  EXPECT_EQ(A.predictLines(1000, 8), 1000u);
-  A.Pattern = sched::AccessPattern::Invariant;
-  // An invariant access still touches its one line.
-  EXPECT_EQ(A.predictLines(1000, 8), 1u);
-  A.Pattern = sched::AccessPattern::Contiguous;
-  A.Accesses = 0; // Never-touched arrays predict nothing.
-  EXPECT_EQ(A.predictLines(1000, 8), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -394,19 +248,6 @@ TEST(LocalityChecksum, BitIdenticalAcrossModesSchedulesAndThreads) {
   }
 }
 
-TEST(LocalityChecksum, ModelPicksAreCountedAndOffIsUntouched) {
-  Harness H(PermutationScatter);
-  ExecStats Off;
-  H.run(sched::LocalityMode::Off, 4, Schedule::Static, &Off);
-  EXPECT_EQ(Off.LocalityModelPicks, 0u);
-  EXPECT_EQ(Off.LocalityReorders, 0u);
-  ExecStats Model;
-  H.run(sched::LocalityMode::Model, 4, Schedule::Static, &Model);
-  EXPECT_GE(Model.LocalityModelPicks, 1u);
-  EXPECT_EQ(Model.LocalityReorders, 0u)
-      << "model mode must not permute iterations";
-}
-
 //===----------------------------------------------------------------------===//
 // Permutation caching across invocations
 //===----------------------------------------------------------------------===//
@@ -439,67 +280,6 @@ TEST(LocalityCache, SecondInvocationReusesVerdictAndPermutation) {
   EXPECT_EQ(Stats.InspectionsCached, 1u);
   EXPECT_EQ(Stats.LocalityReorders, 1u);
   EXPECT_EQ(Stats.LocalityReordersCached, 1u);
-}
-
-//===----------------------------------------------------------------------===//
-// Model predictions vs. measured footprints
-//===----------------------------------------------------------------------===//
-
-TEST(LocalityValidation, PredictedLinesBoundMeasuredFootprints) {
-  // Serial run under an exact (period 1) profiler: for every array the
-  // model classifies, the measured distinct-line footprint must satisfy
-  // measured <= predicted <= measured * LineElems — the model is a sound
-  // upper bound, and never slack by more than one full line per element.
-  const char *Source = R"(program t
-    integer i, n
-    integer ind(1000)
-    real x(1000), y(1000), z(1000)
-    n = 1000
-    init: do i = 1, n
-      ind(i) = mod(i * 7, n) + 1
-      x(i) = i * 0.5
-      y(i) = 0.0
-      z(i) = 1.0
-    end do
-    cont: do i = 1, n
-      y(i) = x(i) * 2.0
-    end do
-    gath: do i = 1, n
-      y(i) = z(ind(i)) + y(i)
-    end do
-  end)";
-  Harness H(Source);
-  prof::SessionOptions O;
-  O.SamplePeriod = 1;
-  O.MaxSamplesPerArray = 1 << 20;
-  O.HardwareCounters = false;
-  prof::Session S(O);
-  {
-    Interpreter I(*H.P);
-    ExecOptions Opts;
-    Opts.Prof = &S;
-    I.run(Opts);
-    S.finalizeAnalysis();
-  }
-  sched::GatherFootprintModel Model(*H.P);
-  const unsigned Elems = Model.lineElems();
-  unsigned Checked = 0;
-  for (const prof::LoopProfile &LP : S.invocations()) {
-    if (LP.Label != "cont" && LP.Label != "gath")
-      continue;
-    sched::FootprintScore Score = Model.score(H.loop(LP.Label));
-    for (const prof::ArrayProfile &A : LP.Arrays) {
-      const sched::ArrayFootprint *F = footprintFor(Score, A.Name);
-      ASSERT_NE(F, nullptr) << LP.Label << "/" << A.Name;
-      const uint64_t Predicted = F->predictLines(LP.Dispatch.NIter, Elems);
-      EXPECT_LE(A.FootprintLines, Predicted)
-          << LP.Label << "/" << A.Name << ": model must be an upper bound";
-      EXPECT_LE(Predicted, A.FootprintLines * Elems)
-          << LP.Label << "/" << A.Name << ": model too slack";
-      ++Checked;
-    }
-  }
-  EXPECT_GE(Checked, 5u) << "expected arrays from both loops";
 }
 
 //===----------------------------------------------------------------------===//

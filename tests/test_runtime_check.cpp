@@ -758,7 +758,6 @@ const std::pair<const char *, unsigned ExecStats::*> PublishedFields[] = {
     {"interp_inspections_run", &ExecStats::InspectionsRun},
     {"interp_inspections_cached", &ExecStats::InspectionsCached},
     {"interp_runtime_check_fails", &ExecStats::RuntimeCheckFails},
-    {"interp_locality_model_picks", &ExecStats::LocalityModelPicks},
     {"interp_locality_reorders", &ExecStats::LocalityReorders},
     {"interp_locality_reorders_cached", &ExecStats::LocalityReordersCached},
     {"interp_faults_trapped", &ExecStats::WorkerFaults},
