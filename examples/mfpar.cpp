@@ -8,18 +8,19 @@
 // mfpar: a small driver exposing the whole toolchain on MF source files.
 //
 //   mfpar FILE.mf [--mode=full|noiaa|apo] [--run[=THREADS]] [--dump]
-//         [--schedule=static|dynamic|guided] [--chunk=N]
+//         [--schedule=static|dynamic|guided]
 //         [--engine=interp|vm|both] [--locality=off|reorder]
 //         [--audit=off|warn|strict] [--race-check] [--runtime-check[=on|off]]
-//         [--on-fault=report|replay] [--stats] [--trace=out.json]
+//         [--deadline-ms=N] [--mem-limit-mb=N] [--stats] [--trace=out.json]
 //         [--remarks=out.jsonl] [--profile[=out.jsonl]]
 //
 //   --mode     pipeline configuration (default full)
 //   --run      execute the program (optionally in parallel with N threads):
 //              on real threads when N is at most the host's cores, on
 //              simulated processors (a timing model) past them
-//   --schedule loop scheduling policy for parallel runs (default static)
-//   --chunk    chunk size for the scheduler (default: policy-dependent)
+//   --schedule loop scheduling policy for parallel runs (default static):
+//              static gives each thread one contiguous block, dynamic hands
+//              out single iterations, guided hands out shrinking chunks
 //   --engine   execution engine for loop bodies (default interp): vm
 //              compiles parallel and serial loop bodies to register
 //              bytecode with fused gather/scatter superinstructions and runs
@@ -31,7 +32,7 @@
 //              inspector bucket runtime-checked gather loops' iterations by
 //              target cache line and execute them in the permuted order
 //              (original last iteration stays last, so results are
-//              bit-identical); --schedule/--chunk still apply
+//              bit-identical); --schedule still applies
 //   --dump     print the normalized program after the transformation passes
 //   --annotate print the program with !$iaa parallel do directives
 //   --audit    independently re-certify every parallel-marked loop before
@@ -45,10 +46,10 @@
 //              their index arrays inspected before first execution and run
 //              parallel when every check passes (default off; plain
 //              --runtime-check means on)
-//   --on-fault what a parallel-worker fault does to the loop (default
-//              replay): replay rolls the loop's shared write set back to
-//              the pre-dispatch snapshot and re-executes it serially;
-//              report rolls back and stops with the fault
+//   --deadline-ms wall-clock budget for --run; a blown deadline cancels
+//              the run (exit 5)
+//   --mem-limit-mb memory budget for the program's arrays; an over-budget
+//              allocation faults (exit 6)
 //   --stats    print the statistic counters and per-phase timings
 //   --trace    write a Chrome trace-event JSON file (chrome://tracing)
 //   --remarks  write optimization remarks as JSONL, one record per loop
@@ -61,9 +62,14 @@
 //
 // With no file argument it analyzes the paper's Fig. 1(a) example.
 //
+// A fault inside a parallel worker rolls the loop's shared write set back
+// to its pre-dispatch snapshot and replays the loop serially; the replay
+// either recovers or reproduces the fault with serial attribution.
+//
 // Exit codes: 0 success; 1 cannot open or parse the input; 2 bad flag or
 // flag value; 3 the race checker found conflicts; 4 the program faulted at
-// runtime (out-of-bounds subscript, division by zero, bad extent, ...).
+// runtime (out-of-bounds subscript, division by zero, bad extent, ...);
+// 5 the deadline fired; 6 the memory budget was exceeded.
 //
 //===----------------------------------------------------------------------===//
 
@@ -96,10 +102,10 @@ static int usage() {
   std::fprintf(stderr,
                "usage: mfpar [FILE.mf] [--mode=full|noiaa|apo] "
                "[--run[=THREADS]] [--schedule=static|dynamic|guided] "
-               "[--chunk=N] [--engine=interp|vm|both] "
+               "[--engine=interp|vm|both] "
                "[--locality=off|reorder] "
                "[--audit=off|warn|strict] [--race-check] "
-               "[--runtime-check[=on|off]] [--on-fault=report|replay] "
+               "[--runtime-check[=on|off]] "
                "[--deadline-ms=N] [--mem-limit-mb=N] "
                "[--dump] [--annotate] [--stats] "
                "[--trace=FILE] [--remarks=FILE] [--profile[=FILE]]\n");
@@ -137,13 +143,11 @@ int main(int argc, char **argv) {
   bool Run = false;
   unsigned Threads = 4;
   interp::Schedule Sched = interp::Schedule::Static;
-  int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Interp;
   sched::LocalityMode Locality = sched::LocalityMode::Off;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RaceCheck = false;
   bool RuntimeChecks = false;
-  interp::FaultAction OnFault = interp::FaultAction::Replay;
   int64_t DeadlineMs = 0;  // 0 = untimed
   int64_t MemLimitMb = 0;  // 0 = unlimited
   bool Dump = false;
@@ -179,9 +183,6 @@ int main(int argc, char **argv) {
       if (!interp::parseSchedule(Arg.substr(11), Sched))
         return badValue("--schedule", Arg.substr(11),
                         "static, dynamic, or guided");
-    } else if (Arg.rfind("--chunk=", 0) == 0) {
-      if (!parseInt(Arg.substr(8), ChunkSize) || ChunkSize <= 0)
-        return badValue("--chunk", Arg.substr(8), "a positive integer");
     } else if (Arg.rfind("--engine=", 0) == 0) {
       if (!interp::parseEngine(Arg.substr(9), Engine))
         return badValue("--engine", Arg.substr(9), "interp, vm, or both");
@@ -203,9 +204,6 @@ int main(int argc, char **argv) {
         RuntimeChecks = false;
       else
         return badValue("--runtime-check", V, "on or off");
-    } else if (Arg.rfind("--on-fault=", 0) == 0) {
-      if (!interp::parseFaultAction(Arg.substr(11), OnFault))
-        return badValue("--on-fault", Arg.substr(11), "report or replay");
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
       if (!parseInt(Arg.substr(14), DeadlineMs) || DeadlineMs <= 0 ||
           DeadlineMs > 86400000)
@@ -323,7 +321,6 @@ int main(int argc, char **argv) {
     interp::ExecOptions Opts;
     Opts.Plans = &R;
     Opts.RaceCheck = true;
-    Opts.OnFault = OnFault;
     interp::ExecStats CheckStats;
     I.run(Opts, &CheckStats);
     if (I.faultState().Faulted)
@@ -364,7 +361,6 @@ int main(int argc, char **argv) {
 
     interp::Interpreter I(*P);
     interp::ExecOptions Seq;
-    Seq.OnFault = OnFault;
     Seq.Cancel = Cancel.get();
     Seq.MemLimitBytes = MemLimitBytes;
     interp::ExecStats SeqStats;
@@ -381,11 +377,9 @@ int main(int argc, char **argv) {
     Par.Plans = &R;
     Par.Threads = Threads;
     Par.Sched = Sched;
-    Par.ChunkSize = ChunkSize;
     Par.Locality = Locality;
     Par.Engine = Engine;
     Par.RuntimeChecks = RuntimeChecks;
-    Par.OnFault = OnFault;
     Par.Cancel = Cancel.get();
     Par.MemLimitBytes = MemLimitBytes;
     // Past the host's cores, threads would only time-slice; simulated

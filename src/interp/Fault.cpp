@@ -28,24 +28,6 @@ const char *interp::faultKindName(FaultKind K) {
   return "?";
 }
 
-const char *interp::faultActionName(FaultAction A) {
-  switch (A) {
-  case FaultAction::Report: return "report";
-  case FaultAction::Replay: return "replay";
-  }
-  return "?";
-}
-
-bool interp::parseFaultAction(const std::string &Name, FaultAction &Out) {
-  if (Name == "report")
-    Out = FaultAction::Report;
-  else if (Name == "replay")
-    Out = FaultAction::Replay;
-  else
-    return false;
-  return true;
-}
-
 std::string RuntimeFault::message() const {
   std::string S = faultKindName(Kind);
   if (!Detail.empty())

@@ -13,10 +13,10 @@
 /// the enclosing loop and iteration, the worker that hit it, and the
 /// offending value. Serial faults unwind to the per-invocation FaultState of
 /// the interpreter; faults inside parallel workers are trapped locally,
-/// published first-fault-wins, and — under FaultAction::Replay — the loop's
-/// shared write set is rolled back from a pre-dispatch snapshot and the loop
-/// is re-executed serially, in the restoration-and-serial-re-execution mould
-/// of the LRPD test's failed-check path.
+/// published first-fault-wins, the loop's shared write set is rolled back
+/// from a pre-dispatch snapshot, and the loop is re-executed serially, in the
+/// restoration-and-serial-re-execution mould of the LRPD test's failed-check
+/// path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,8 +63,7 @@ const char *faultKindName(FaultKind K);
 /// True for fault kinds that describe an exhausted *request* (deadline,
 /// memory budget) rather than misbehaving program semantics. Replaying such
 /// a fault serially cannot recover it — the budget stays blown — so the
-/// runtime takes the rollback-and-report path even under
-/// FaultAction::Replay.
+/// runtime rolls such a loop back and reports the fault without a replay.
 inline bool faultIsResourceLimit(FaultKind K) {
   return K == FaultKind::DeadlineExceeded || K == FaultKind::ResourceExhausted;
 }
@@ -156,23 +155,6 @@ struct FaultState {
   /// One-line summary for logs and tests.
   std::string str() const;
 };
-
-/// What the runtime does when a parallel worker faults.
-enum class FaultAction {
-  /// Roll the loop's shared write set back to the pre-dispatch snapshot,
-  /// then propagate the fault.
-  Report,
-  /// Roll back, then re-execute the loop serially: the replay either
-  /// reproduces the fault with exact serial attribution or completes
-  /// correctly when the fault was an artifact of parallel execution (e.g.
-  /// a stale runtime-check verdict). The default.
-  Replay,
-};
-
-const char *faultActionName(FaultAction A);
-
-/// Parses "report" / "replay"; false on anything else.
-bool parseFaultAction(const std::string &Name, FaultAction &Out);
 
 /// The unwinding vehicle for contained faults. Thrown at the fault site,
 /// caught at the worker boundary (parallel context) or in Interpreter::run

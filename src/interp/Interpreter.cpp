@@ -211,6 +211,7 @@ struct Value {
 Memory::Memory(const Program &P, size_t LimitBytes) {
   analysis::GlobalConstants Consts(P);
   Buffers.resize(P.numSymbols());
+  Extents.resize(P.numSymbols());
 
   // Resolve a (possibly symbolic) extent using whole-program constants.
   // Saturating arithmetic keeps a hostile extent expression from tripping
@@ -284,6 +285,7 @@ Memory::Memory(const Program &P, size_t LimitBytes) {
                 /*HasValue=*/true, Extent,
                 static_cast<int64_t>(MaxElems));
       Elems = Next;
+      Extents[S->id()].push_back(Extent);
     }
     TotalBytes += Elems * 8; // Both element kinds are 8 bytes wide.
     if (LimitBytes && TotalBytes > LimitBytes)
@@ -443,47 +445,7 @@ public:
   Exec(const Program &P, Memory &Mem, const ExecOptions &Opts,
        ExecStats &Stats, bool TimeLoops, RuntimeCaches &Caches)
       : Prog(P), Mem(Mem), Opts(Opts), Stats(Stats), TimeLoops(TimeLoops),
-        C(Caches), Cancel(Opts.Cancel) {
-    // Pre-compute per-array dimension extents for subscript linearization.
-    analysis::GlobalConstants Consts(P);
-    DimExtents.resize(P.numSymbols());
-    for (const Symbol *S : P.symbols()) {
-      if (!S->isArray())
-        continue;
-      auto &Out = DimExtents[S->id()];
-      for (unsigned D = 0; D < S->rank(); ++D) {
-        const Expr *E = S->extent(D);
-        sym::SymExpr SE = sym::SymExpr::fromAst(E);
-        int64_t V = 0;
-        if (SE.isConstant()) {
-          V = SE.constValue();
-        } else {
-          // Single-symbol extents were validated by Memory already.
-          bool Found = false;
-          for (const Symbol *Sym2 : P.symbols()) {
-            if (!Sym2->isArray() && SE.equals(sym::SymExpr::var(Sym2)))
-              if (auto C = Consts.valueOf(Sym2)) {
-                V = *C;
-                Found = true;
-                break;
-              }
-          }
-          if (!Found) {
-            // General constant-foldable extent.
-            sym::RangeEnv Env;
-            Consts.bindAll(Env);
-            sym::ConstRange R = sym::evalConstRange(SE, Env);
-            if (R.Lo && R.Hi && *R.Lo == *R.Hi)
-              V = *R.Lo;
-            else
-              faultAt(FaultKind::BadExtent, E->loc(),
-                      "array extent is not a program constant", S);
-          }
-        }
-        Out.push_back(V);
-      }
-    }
-  }
+        C(Caches), Cancel(Opts.Cancel), DimExtents(Mem.extents()) {}
 
   struct Frame {
     std::unordered_map<unsigned, Buffer> *Overrides = nullptr;
@@ -546,10 +508,9 @@ private:
     prof::DispatchKind Kind = prof::DispatchKind::Serial;
     const xform::LoopPlan *Plan = nullptr; ///< Forked or race-checked plan.
     int64_t Lo = 0, Up = 0, Step = 1, NIter = 0;
-    /// Fork width (> 1 exactly when forking), schedule and chunking.
+    /// Fork width (> 1 exactly when forking) and schedule.
     unsigned Threads = 1;
     Schedule Sched = Schedule::Static;
-    int64_t ChunkSize = 0;
     /// Iteration order held by the loop's inspection-cache entry, or null
     /// for source order.
     const std::vector<int64_t> *Order = nullptr;
@@ -697,20 +658,12 @@ private:
   /// the loop must stay on the tree walk. Compilation is memoized in the
   /// session's bytecode store — including bailouts, so a rejected loop pays
   /// the compile attempt only once no matter how many runs or (under a
-  /// shared store) sessions execute it. The pipeline's structural pre-check
-  /// (LoopPlan::VmBailout) short-circuits loops it already rejected.
-  const vm::LoopProgram *vmProgramFor(const DoStmt *DS,
-                                      const xform::LoopPlan *Plan) {
+  /// shared store) sessions execute it.
+  const vm::LoopProgram *vmProgramFor(const DoStmt *DS) {
     if (Opts.Engine != ExecEngine::Vm)
       return nullptr;
-    const vm::CompileResult &R = C.Bytecode->getOrCompile(DS, [&] {
-      vm::CompileResult New;
-      if (Plan && !Plan->VmEligible && !Plan->VmBailout.empty())
-        New.Bailout = Plan->VmBailout;
-      else
-        New = vm::compileLoop(DS, DimExtents);
-      return New;
-    });
+    const vm::CompileResult &R = C.Bytecode->getOrCompile(
+        DS, [&] { return vm::compileLoop(DS, DimExtents); });
     // Count the outcome once per *session*, not once per store insert: with
     // a shared store the compile may have happened in another session, but
     // each session still reports every distinct loop it ran on the VM.
@@ -735,7 +688,7 @@ private:
       if (It->second)
         return nullptr;
     }
-    return vmProgramFor(DS, nullptr);
+    return vmProgramFor(DS);
   }
 
   /// True when \p Body holds a do loop with a parallel or conditional plan,
@@ -1247,11 +1200,10 @@ private:
     D.Threads = static_cast<unsigned>(
         std::min<int64_t>(Opts.Threads, D.NIter));
     D.Sched = Opts.Sched;
-    D.ChunkSize = Opts.ChunkSize;
     // Engine selection: under --engine=vm a compiled program runs the
     // chunks as register bytecode; a bailout (or interp engine) keeps the
     // tree walk. Everything around the chunk body is engine-agnostic.
-    D.VmProg = vmProgramFor(DS, D.Plan);
+    D.VmProg = vmProgramFor(DS);
     return D;
   }
 
@@ -1275,8 +1227,8 @@ private:
   }
 
   /// Runs a parallel decision fork/join. A worker fault rolls the loop
-  /// back and, under FaultAction::Replay, rewrites \p D's kind to Replay
-  /// before the invocation scope counts it.
+  /// back and, unless it is a resource-limit fault, replays it serially,
+  /// rewriting \p D's kind to Replay before the invocation scope counts it.
   void runParallel(const DoStmt *DS, Dispatch &D, Frame &F,
                    prof::LoopRecorder *Rec) {
     ++Stats.ParallelLoopRuns;
@@ -1342,7 +1294,7 @@ private:
       Snapshot.emplace_back(S, Mem.buffer(S));
     FaultSlot Faults;
 
-    ChunkDispenser Disp(D.Lo, D.Up, D.Threads, D.Sched, D.ChunkSize);
+    ChunkDispenser Disp(D.Lo, D.Up, D.Threads, D.Sched);
 
     // Runs one dispensed chunk on worker W; returns its seconds (including
     // the first chunk's private-copy construction — it parallelizes too).
@@ -1474,14 +1426,8 @@ private:
       Stats.ChunkSecondsMax = std::max(Stats.ChunkSecondsMax, WS.SecondsMax);
     }
 
-    // Resource-limit faults (deadline, memory budget) are never replayed,
-    // whatever the policy: serially re-running the loop cannot un-blow a
-    // budget — it would just burn the daemon's wall clock a second time.
-    unsigned NFaults = Faults.Count.load(std::memory_order_relaxed);
-    const bool Replay = NFaults && Opts.OnFault == FaultAction::Replay &&
-                        !faultIsResourceLimit(Faults.First->Kind);
-
     // A worker faulted: the torn parallel state must not be merged.
+    unsigned NFaults = Faults.Count.load(std::memory_order_relaxed);
     if (NFaults) {
       Stats.WorkerFaults += NFaults;
       RuntimeFault First = std::move(*Faults.First);
@@ -1502,9 +1448,11 @@ private:
         Rec->RollbackUs += RollbackTimer.seconds() * 1e6;
       ++Stats.FaultRollbacks;
 
-      // Report, or a resource-limit fault: rollback-and-report preserves
-      // the transactional guarantee.
-      if (!Replay) {
+      // Resource-limit faults (deadline, memory budget) are never
+      // replayed: serially re-running the loop cannot un-blow a budget —
+      // it would just burn the daemon's wall clock a second time.
+      // Rollback-and-report preserves the transactional guarantee.
+      if (faultIsResourceLimit(First.Kind)) {
         D.Detail = "worker fault: rolled back, reported";
         addFaultRemark(DS, First, "rolled back, reported", nullptr);
         throw FaultException(std::move(First));
@@ -1792,7 +1740,9 @@ private:
   RuntimeCaches &C;
   /// The run's cooperative deadline token (null when untimed).
   const CancelToken *Cancel;
-  std::vector<std::vector<int64_t>> DimExtents;
+  /// Declared extents per symbol, copied from Memory (which evaluated
+  /// them) so subscript linearization reads a member, not a pointer.
+  const std::vector<std::vector<int64_t>> DimExtents;
 
   /// The uncached verdict of an injector-skipped inspection (test only).
   RuntimeCaches::InspectionEntry SkippedInspection;
@@ -1882,7 +1832,7 @@ Memory Interpreter::run(const ExecOptions &Opts, ExecStats *Stats) {
   Memory Mem;
   std::optional<Exec> E;
   // A program-level fault (bad extent during allocation, a serial fault,
-  // a parallel fault the policy chose to propagate) unwinds to here —
+  // a parallel fault its replay reproduced) unwinds to here —
   // never out of run(), never to std::abort. The returned memory holds the
   // state at the fault; rolled-back loops were already restored.
   try {

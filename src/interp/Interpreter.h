@@ -94,6 +94,11 @@ public:
   int64_t intScalar(const mf::Symbol *S) const { return Buffers[S->id()].I[0]; }
   double realScalar(const mf::Symbol *S) const { return Buffers[S->id()].D[0]; }
 
+  /// Per-symbol declared extents as allocated, indexed by symbol id (empty
+  /// for scalars): the table subscript linearization and the bytecode
+  /// compiler read.
+  const std::vector<std::vector<int64_t>> &extents() const { return Extents; }
+
   /// A deterministic digest of all variables, for serial/parallel
   /// equivalence checks.
   double checksum() const;
@@ -106,6 +111,7 @@ public:
 
 private:
   std::vector<Buffer> Buffers;
+  std::vector<std::vector<int64_t>> Extents;
 };
 
 /// The symbol ids whose post-run contents are unspecified under \p Plans
@@ -154,9 +160,6 @@ struct ExecOptions {
   int64_t MinParallelWork = 1024;
   /// How parallel loops divide iterations among workers (see Schedule).
   Schedule Sched = Schedule::Static;
-  /// Chunk size for the dispenser; 0 picks the policy default (static:
-  /// ceil(NIter/Threads), dynamic: 1, guided: a floor of 1).
-  int64_t ChunkSize = 0;
   /// Shadow-memory race checking: every plan-marked loop runs serially
   /// (bypassing the profitability guard) under per-element last-writer /
   /// last-reader iteration tags, and every cross-iteration conflict not
@@ -172,19 +175,6 @@ struct ExecOptions {
   /// repeated invocations skip re-inspection until an index array is
   /// rewritten. Only meaningful together with Plans and Threads > 1.
   bool RuntimeChecks = false;
-  /// Fault-containment policy for parallel loops. Every parallel (or
-  /// runtime-conditional) dispatch snapshots the loop's MAY-written shared
-  /// buffers first; a worker fault is trapped locally, published
-  /// first-fault-wins, cancels the chunk dispenser, and after the join the
-  /// snapshot is rolled back — contents *and* version counters, since the
-  /// restored bytes are exactly the pre-loop bytes, so inspector verdicts
-  /// and locality permutations cached against them stay valid.
-  /// Report then propagates the fault. Replay re-executes the loop
-  /// serially: it either reproduces the fault with exact serial attribution
-  /// or completes correctly when the fault was an artifact of parallel
-  /// execution. Serial faults always unwind to Interpreter::faultState()
-  /// regardless of this setting.
-  FaultAction OnFault = FaultAction::Replay;
   /// Test-only fault-injection hook (see FaultInjectionHook); null in
   /// production runs.
   const FaultInjectionHook *Injector = nullptr;
@@ -192,7 +182,7 @@ struct ExecOptions {
   /// runtime-conditional loops that passed inspection in the inspector's
   /// line-bucketed iteration order (permutations are cached under the same
   /// Buffer::Version keys as inspection verdicts); every loop is still
-  /// scheduled by Sched/ChunkSize. Results are bit-identical across modes.
+  /// scheduled by Sched. Results are bit-identical across modes.
   sched::LocalityMode Locality = sched::LocalityMode::Off;
   /// Memory-access profiling session (prof/Profiler.h); null disables all
   /// profiling hooks. The interpreter records, per labeled-loop
@@ -212,7 +202,7 @@ struct ExecOptions {
   /// path — parallel loops drain the dispenser, roll back their write-set
   /// snapshot, and the run unwinds with faultState() reporting the
   /// deadline. Resource-limit faults skip serial replay (the budget stays
-  /// blown), so OnFault=Replay degrades to rollback-and-report for them.
+  /// blown): they are rolled back and reported.
   const CancelToken *Cancel = nullptr;
   /// Per-request memory budget in bytes forwarded to the Memory
   /// constructor by Interpreter::run; 0 = unlimited. Over-budget
@@ -323,7 +313,7 @@ struct ExecStats {
   unsigned LocalityReorders = 0;   ///< Fresh iteration permutations built.
   unsigned LocalityReordersCached = 0; ///< Permutations reused from cache.
 
-  /// Fault containment (ExecOptions::OnFault).
+  /// Fault containment (see Interpreter::run).
   unsigned WorkerFaults = 0;   ///< Faults trapped inside parallel workers.
   unsigned FaultRollbacks = 0; ///< Loop transactions rolled back.
   unsigned FaultReplays = 0;   ///< Serial replays executed after rollback.
@@ -352,11 +342,10 @@ struct ExecStats {
 
 /// Session-lifetime runtime caches. One Interpreter owns one instance, so
 /// inspector verdicts (keyed on Buffer::Version counters), locality
-/// permutations, footprint-model schedules, body-weight estimates, loop
-/// write-sets, and compiled VM bytecode persist across run() calls — a
-/// daemon session re-running the same cached program skips re-inspection
-/// and re-lowering on later requests. Defined in Interpreter.cpp; opaque
-/// here.
+/// permutations, body-weight estimates, loop write-sets, and compiled VM
+/// bytecode persist across run() calls — a daemon session re-running the
+/// same cached program skips re-inspection and re-lowering on later
+/// requests. Defined in Interpreter.cpp; opaque here.
 class RuntimeCaches;
 
 /// Runs \p P (starting at "main") against fresh memory; returns the final
@@ -377,8 +366,17 @@ public:
   /// Executes the program; the returned Memory holds the final state. A
   /// program-level fault never aborts the process: serial faults unwind
   /// here (the returned memory holds the state at the fault, rolled-back
-  /// loops excepted) and faultState() reports what happened; parallel-
-  /// worker faults are contained per ExecOptions::OnFault.
+  /// loops excepted) and faultState() reports what happened. Parallel
+  /// loops are transactions: every parallel (or runtime-conditional)
+  /// dispatch snapshots the loop's MAY-written shared buffers first; a
+  /// worker fault is trapped locally, published first-fault-wins, and
+  /// cancels the chunk dispenser; after the join the snapshot is rolled
+  /// back (contents *and* version counters, so cached inspector verdicts
+  /// and locality permutations stay valid) and the loop is replayed
+  /// serially. The replay either reproduces the fault with exact serial
+  /// attribution or completes correctly when the fault was an artifact of
+  /// parallel execution. Resource-limit faults (faultIsResourceLimit) are
+  /// rolled back and reported without a replay.
   Memory run(const ExecOptions &Opts, ExecStats *Stats = nullptr);
 
   /// Fault summary of the most recent run (reset on each run call).

@@ -124,29 +124,13 @@ bool interp::parseSchedule(const std::string &Name, Schedule &Out) {
 }
 
 ChunkDispenser::ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers,
-                               Schedule Sched, int64_t ChunkSize)
+                               Schedule Sched)
     : Lo(Lo), Up(Up), Workers(std::max(1u, Workers)), Sched(Sched),
       Iterations(Up >= Lo ? Up - Lo + 1 : 0), Cursor(Lo) {
-  int64_t NIter = Iterations;
-  switch (Sched) {
-  case Schedule::Static:
-    // Default: one contiguous block per worker (ceil split), the classic
-    // parallel-do decomposition; an explicit chunk deals blocks round-robin.
-    Chunk = ChunkSize > 0
-                ? ChunkSize
-                : std::max<int64_t>(1, (NIter + this->Workers - 1) /
-                                           this->Workers);
-    StaticBlock.resize(this->Workers);
-    for (unsigned W = 0; W < this->Workers; ++W)
-      StaticBlock[W] = W;
-    break;
-  case Schedule::Dynamic:
-    Chunk = ChunkSize > 0 ? ChunkSize : 1;
-    break;
-  case Schedule::Guided:
-    Chunk = ChunkSize > 0 ? ChunkSize : 1; // Minimum grab size.
-    break;
-  }
+  Block = std::max<int64_t>(1, (Iterations + this->Workers - 1) /
+                                   this->Workers);
+  if (Sched == Schedule::Static)
+    StaticTaken.assign(this->Workers, 0);
 }
 
 bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
@@ -159,14 +143,15 @@ bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
     return false;
   switch (Sched) {
   case Schedule::Static: {
-    // Per-worker cursor: worker W owns blocks W, W+Workers, W+2*Workers...
-    // No cross-thread state is touched besides the dispense counter.
-    int64_t Block = StaticBlock[W];
-    First = Lo + Block * Chunk;
+    // Worker W owns the one block starting at Lo + W * Block. No
+    // cross-thread state is touched besides the dispense counter.
+    if (StaticTaken[W])
+      return false;
+    StaticTaken[W] = 1;
+    First = Lo + static_cast<int64_t>(W) * Block;
     if (First > Up)
       return false;
-    StaticBlock[W] = Block + Workers;
-    Last = std::min(Up, First + Chunk - 1);
+    Last = std::min(Up, First + Block - 1);
     break;
   }
   case Schedule::Dynamic: {
@@ -177,10 +162,9 @@ bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
     do {
       if (Cur > Up)
         return false;
-    } while (!Cursor.compare_exchange_weak(Cur, Cur + Chunk,
+    } while (!Cursor.compare_exchange_weak(Cur, Cur + 1,
                                            std::memory_order_relaxed));
-    First = Cur;
-    Last = std::min(Up, First + Chunk - 1);
+    First = Last = Cur;
     break;
   }
   case Schedule::Guided: {
@@ -190,10 +174,7 @@ bool ChunkDispenser::next(unsigned W, int64_t &First, int64_t &Last,
       if (Cur > Up)
         return false;
       int64_t Remaining = Up - Cur + 1;
-      Size = std::max(Chunk, Remaining / static_cast<int64_t>(Workers));
-      // Clamp after applying the floor: a floor larger than what remains
-      // must not overshoot Up.
-      Size = std::min(Size, Remaining);
+      Size = std::max<int64_t>(1, Remaining / static_cast<int64_t>(Workers));
     } while (!Cursor.compare_exchange_weak(Cur, Cur + Size,
                                            std::memory_order_relaxed));
     First = Cur;

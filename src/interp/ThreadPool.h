@@ -89,13 +89,13 @@ private:
 
 /// How a parallel loop's iteration space is divided among workers.
 enum class Schedule {
-  Static,  ///< Contiguous blocks dealt round-robin (one block per worker by
-           ///< default); deterministic worker-to-iteration assignment.
-  Dynamic, ///< Fixed-size chunks grabbed first-come-first-served from an
-           ///< atomic cursor (default chunk 1).
+  Static,  ///< One contiguous ceil(N/Workers) block per worker;
+           ///< deterministic worker-to-iteration assignment.
+  Dynamic, ///< Single iterations grabbed first-come-first-served from an
+           ///< atomic cursor.
   Guided,  ///< Like dynamic, but each grab takes remaining/Workers
-           ///< iterations (never fewer than the chunk-size floor), so chunks
-           ///< shrink as the loop drains.
+           ///< iterations (never fewer than one), so chunks shrink as the
+           ///< loop drains.
 };
 
 const char *scheduleName(Schedule S);
@@ -112,10 +112,7 @@ bool parseSchedule(const std::string &Name, Schedule &Out);
 /// out, so chunksDispensed() counts only chunks that ran iterations.
 class ChunkDispenser {
 public:
-  /// \p ChunkSize 0 picks the policy default: static ceil(N/Workers)
-  /// (one block per worker), dynamic 1, guided a floor of 1.
-  ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers, Schedule Sched,
-                 int64_t ChunkSize);
+  ChunkDispenser(int64_t Lo, int64_t Up, unsigned Workers, Schedule Sched);
 
   /// Grabs worker \p W's next chunk; false when its share is exhausted or
   /// the dispenser was cancelled.
@@ -139,13 +136,11 @@ public:
     return Dispensed.load(std::memory_order_relaxed);
   }
 
-  int64_t chunkSize() const { return Chunk; }
-
 private:
   int64_t Lo, Up;
   unsigned Workers;
   Schedule Sched;
-  int64_t Chunk; ///< Block size (static/dynamic) or floor (guided).
+  int64_t Block; ///< Static block size, ceil(Iterations/Workers).
   /// Trip count; 0 for an empty space (Up < Lo). Guards next() so a
   /// zero-trip loop dispenses nothing under every policy and repeated
   /// exhausted polls never touch the cursor.
@@ -153,7 +148,9 @@ private:
   std::atomic<int64_t> Cursor;      ///< Next undispensed iteration.
   std::atomic<bool> Cancelled{false};
   std::atomic<unsigned> Dispensed{0};
-  std::vector<int64_t> StaticBlock; ///< Per-worker next block index.
+  /// Per-worker "static block taken" flag; each worker touches only its
+  /// own byte (a vector<bool> would pack them into shared words).
+  std::vector<char> StaticTaken;
 };
 
 } // namespace interp

@@ -83,7 +83,7 @@ bool Daemon::start(std::string *Err) {
     return false;
   }
 
-  // The shared fork/join pool every non-simulated run dispatches on.
+  // The shared fork/join pool every run dispatches on.
   Pool = std::make_unique<interp::WorkerPool>(Config.PoolThreads);
 
   Stopping.store(false, std::memory_order_release);

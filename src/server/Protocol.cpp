@@ -10,6 +10,7 @@
 #include "support/Json.h"
 
 #include <cmath>
+#include <set>
 
 using namespace iaa;
 using namespace iaa::server;
@@ -79,6 +80,19 @@ std::optional<Request> server::parseRequest(const std::string &Line,
     Err = "request must be a JSON object";
     return std::nullopt;
   }
+  // An unknown member is an error, not a no-op: a typo such as
+  // "runtime_check", or a member this grammar no longer has, would
+  // otherwise run with the default silently.
+  static const std::set<std::string> Members = {
+      "id",       "op",          "source",      "mode",     "threads",
+      "schedule", "engine",      "locality",    "audit",    "runtime_checks",
+      "profile",  "counters",    "remarks",     "trace",    "deadline_ms",
+      "mem_limit_mb"};
+  for (const auto &M : Doc->Members)
+    if (!Members.count(M.first)) {
+      Err = "unknown member '" + M.first + "'";
+      return std::nullopt;
+    }
 
   Request R;
   if (const json::Value *Id = Doc->member("id")) {
@@ -150,14 +164,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
       return std::nullopt;
     }
   }
-  if (const json::Value *V = Doc->member("chunk")) {
-    uint64_t C = 0;
-    if (!asBoundedU64(*V, uint64_t(1) << 32, C)) {
-      Err = "'chunk' must be a non-negative integer";
-      return std::nullopt;
-    }
-    R.ChunkSize = static_cast<int64_t>(C);
-  }
   if (const json::Value *V = Doc->member("engine")) {
     if (!V->isString() || !interp::parseEngine(V->S, R.Engine)) {
       Err = "'engine' must be interp, vm, or both";
@@ -179,18 +185,6 @@ std::optional<Request> server::parseRequest(const std::string &Line,
   if (const json::Value *V = Doc->member("runtime_checks")) {
     if (!asBool(*V, R.RuntimeChecks)) {
       Err = "'runtime_checks' must be a boolean";
-      return std::nullopt;
-    }
-  }
-  if (const json::Value *V = Doc->member("on_fault")) {
-    if (!V->isString() || !interp::parseFaultAction(V->S, R.OnFault)) {
-      Err = "'on_fault' must be report or replay";
-      return std::nullopt;
-    }
-  }
-  if (const json::Value *V = Doc->member("simulate")) {
-    if (!asBool(*V, R.Simulate)) {
-      Err = "'simulate' must be a boolean";
       return std::nullopt;
     }
   }

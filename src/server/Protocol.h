@@ -14,20 +14,20 @@
 ///                 | "stats" | "shutdown",
 ///                 "source"?: string,            // run/compile
 ///                 "mode"?: "full"|"noiaa"|"apo",
-///                 "threads"?: int, "schedule"?: string, "chunk"?: int,
+///                 "threads"?: int, "schedule"?: string,
 ///                 "engine"?: "interp"|"vm"|"both",
 ///                 "locality"?: "off"|"reorder",
 ///                 "audit"?: "off"|"warn"|"strict",
-///                 "runtime_checks"?: bool, "on_fault"?: "report"|"replay",
-///                 "simulate"?: bool, "profile"?: bool, "counters"?: bool,
-///                 "remarks"?: bool,
+///                 "runtime_checks"?: bool, "profile"?: bool,
+///                 "counters"?: bool, "remarks"?: bool, "trace"?: bool,
 ///                 "deadline_ms"?: int, "mem_limit_mb"?: int }
 ///   response := { "id": string, "status": "ok" | "pong" | "bye" | "error"
 ///                 | "fault" | "shed", ... }
 ///
 /// parseRequest() is the hostile-input boundary: it must map every
-/// malformed, truncated, oversized, or type-confused frame to a structured
-/// error — never crash, never accept an out-of-range value. The fuzz tests
+/// malformed, truncated, oversized, or type-confused frame, and every
+/// member outside the grammar, to a structured error — never crash, never
+/// accept an out-of-range value. The fuzz tests
 /// (DaemonProtocol.*) hold it to that.
 ///
 //===----------------------------------------------------------------------===//
@@ -67,13 +67,10 @@ struct Request {
   xform::PipelineMode Mode = xform::PipelineMode::Full;
   unsigned Threads = 4;
   interp::Schedule Sched = interp::Schedule::Static;
-  int64_t ChunkSize = 0;
   interp::ExecEngine Engine = interp::ExecEngine::Interp;
   sched::LocalityMode Locality = sched::LocalityMode::Off;
   verify::AuditMode Audit = verify::AuditMode::Off;
   bool RuntimeChecks = false;
-  interp::FaultAction OnFault = interp::FaultAction::Replay;
-  bool Simulate = false;
   bool Profile = false;  ///< Inline the per-loop profile JSONL in the reply.
   bool Counters = false; ///< Inline the session's statistic counters.
   bool Remarks = false;  ///< Inline optimization remarks JSONL.

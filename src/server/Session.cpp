@@ -92,16 +92,12 @@ Response Session::handleRun(const Request &R) {
   Opts.Plans = &PS.Art->Plans;
   Opts.Threads = R.Threads;
   Opts.Sched = R.Sched;
-  Opts.ChunkSize = R.ChunkSize;
   Opts.Engine = R.Engine;
   Opts.Locality = R.Locality;
   Opts.RuntimeChecks = R.RuntimeChecks;
-  Opts.OnFault = R.OnFault;
-  Opts.Simulate = R.Simulate;
   Opts.Cancel = Token.get();
   Opts.MemLimitBytes = static_cast<size_t>(MemLimitMb) << 20;
-  if (!R.Simulate)
-    Opts.SharedPool = Env.SharedPool;
+  Opts.SharedPool = Env.SharedPool;
   if (R.Profile)
     Opts.Prof = &Prof;
 

@@ -17,9 +17,8 @@
 /// condition, deadline poll, body, then the WhileTripLimit guard, with
 /// faults attributed to the innermost do loop's iteration.
 ///
-/// structuralBailout() is the extent-free subset of the bailout taxonomy,
-/// usable at pipeline time (xform marks LoopPlan::VmEligible with it);
-/// compileLoop() is authoritative and can still bail on run-resolved facts.
+/// compileLoop() is the one place that decides whether a loop lowers; the
+/// BytecodeCache memoizes its bailouts along with its programs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,15 +48,10 @@ struct CompileResult {
   std::string Bailout; ///< Why the loop cannot lower (empty when Ok).
 };
 
-/// Purely structural pre-check of the bailout taxonomy (no extents needed):
-/// returns the first reason \p DS cannot lower, or null when the body looks
-/// compilable. Used by the pipeline to mark plan eligibility; the compiler
-/// below remains authoritative.
-const char *structuralBailout(const mf::DoStmt *DS);
-
 /// Lowers the body of \p DS against \p DimExtents (per-symbol declared
-/// extents resolved to run constants, indexed by symbol id — the same table
-/// the interpreter's subscript linearization uses).
+/// extents resolved to run constants, indexed by symbol id — the
+/// interp::Memory::extents() table the interpreter's subscript
+/// linearization uses).
 CompileResult compileLoop(const mf::DoStmt *DS,
                           const std::vector<std::vector<int64_t>> &DimExtents);
 

@@ -11,7 +11,6 @@
 #include "support/Timer.h"
 #include "support/TimerGroup.h"
 #include "support/Trace.h"
-#include "vm/Compiler.h"
 #include "xform/Passes.h"
 
 #include <algorithm>
@@ -389,16 +388,6 @@ PipelineResult iaa::xform::parallelize(Program &P, PipelineMode Mode) {
     LoopSpan.arg("parallel", Rep.Parallel          ? "yes"
                  : Rep.RuntimeConditional          ? "conditional"
                                                    : "no");
-
-    // Mark bytecode-VM eligibility for loops that can dispatch parallel
-    // (statically or conditionally). Structural only — the VM compiler
-    // remains authoritative at execution time and can still bail out.
-    if (Plan.Parallel || Plan.RuntimeConditional) {
-      if (const char *Why = vm::structuralBailout(L))
-        Plan.VmBailout = Why;
-      else
-        Plan.VmEligible = true;
-    }
 
     Result.Remarks.push_back(remarkFor(Rep, Plan));
     Result.Plans.emplace(L, std::move(Plan));

@@ -88,14 +88,6 @@ struct LoopPlan {
   /// before a transactional parallel dispatch, so a rolled-back loop
   /// restores every buffer the body could have touched.
   std::set<const mf::Symbol *> WriteEffects;
-  /// True when the loop body passed the bytecode compiler's structural
-  /// pre-check (vm/Compiler.h): under --engine=vm its parallel chunks run
-  /// on the register VM instead of the tree walk. Advisory — the VM
-  /// compiler can still bail at execution time, and VmBailout records why
-  /// a structurally-ineligible body must stay on the interpreter. Only set
-  /// for plans that can dispatch parallel.
-  bool VmEligible = false;
-  std::string VmBailout;
 };
 
 /// Analysis record for one loop (feeds Table 3).

@@ -294,10 +294,17 @@ unsigned iaa::xform::forwardSubstitute(Program &P) {
 //===----------------------------------------------------------------------===//
 
 unsigned iaa::xform::eliminateDeadCode(Program &P) {
+  // Array extents read scalars too (`real a(n / 2)` needs `n = ...` kept
+  // for Memory to allocate a), and no pass rewrites them.
+  analysis::UseSet ExtentUses;
+  for (const Symbol *S : P.symbols())
+    for (unsigned D = 0; D < S->rank(); ++D)
+      analysis::SymbolUses::exprReads(S->extent(D), ExtentUses);
+
   unsigned Removed = 0;
   for (int Round = 0; Round < 3; ++Round) {
-    // Scalars read anywhere (conditions, bounds, subscripts, RHS).
-    std::set<const Symbol *> Read;
+    // Scalars read anywhere (extents, conditions, bounds, subscripts, RHS).
+    std::set<const Symbol *> Read = ExtentUses.Reads;
     P.forEachStmt([&](Stmt *S) {
       analysis::UseSet U;
       switch (S->kind()) {

@@ -2,7 +2,8 @@
 # Smoke-tests mfpar's exit-code taxonomy against a real binary:
 #   0  success
 #   2  bad flag / flag value
-#   4  the program faulted at runtime (--on-fault=report/replay)
+#   4  the program faulted at runtime (the serial replay of a rolled-back
+#      parallel loop reproduced the fault)
 #   5  the --deadline-ms wall-clock deadline fired mid-run
 #   6  the --mem-limit-mb array-memory budget was exceeded
 #
@@ -66,21 +67,19 @@ grep -q ", 1 serial vm loop run$" "$TMP/out" ||
   { echo "FAIL: engine line lacks the serial vm loop run" >&2; FAILURES=$((FAILURES + 1)); }
 check 1 "missing input file" "$MFPAR" "$TMP/does-not-exist.mf"
 check 2 "unknown flag" "$MFPAR" --no-such-flag
-check 2 "bad --on-fault value" "$MFPAR" --on-fault=bogus
 check 2 "bad --schedule value" "$MFPAR" "$TMP/good.mf" --schedule=gided
 check 2 "removed --locality=model value" \
   "$MFPAR" "$TMP/good.mf" --run=2 --locality=model
-check 2 "removed --on-fault=abort value" \
-  "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=abort
+check 2 "removed --chunk flag" "$MFPAR" "$TMP/good.mf" --run=2 --chunk=4
+check 2 "removed --on-fault flag" \
+  "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=report
 check 2 "empty --profile= value" "$MFPAR" "$TMP/good.mf" --profile=
 check 0 "profiled run writes JSONL" \
   "$MFPAR" "$TMP/good.mf" --profile="$TMP/profile.jsonl" --run=2
 [ -s "$TMP/profile.jsonl" ] ||
   { echo "FAIL: --profile wrote no JSONL" >&2; FAILURES=$((FAILURES + 1)); }
-check 4 "runtime fault, replay policy" \
-  "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=replay
-check 4 "runtime fault, report policy" \
-  "$MFPAR" "$TMP/oob.mf" --run=2 --on-fault=report
+check 4 "runtime fault reproduced by the serial replay" \
+  "$MFPAR" "$TMP/oob.mf" --run=2
 grep -q "runtime fault" "$TMP/err" ||
   { echo "FAIL: fault report missing from stderr" >&2; FAILURES=$((FAILURES + 1)); }
 

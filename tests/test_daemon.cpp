@@ -214,26 +214,25 @@ TEST(DaemonProtocol, MalformedFramesAreStructuredErrors) {
       "{\"op\": \"run\", \"source\": \"x\", \"deadline_ms\": \"soon\"}",
       "{\"op\": \"run\", \"source\": \"x\", \"mem_limit_mb\": -9}",
       "{\"op\": \"run\", \"source\": \"x\", \"profile\": \"yes\"}",
+      // Members outside the grammar, whatever their value: removed knobs
+      // and a typo of runtime_checks. The source is valid, so only the
+      // unknown member can make these errors.
+      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
+      "\"chunk\": 4}",
+      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
+      "\"on_fault\": \"report\"}",
+      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
+      "\"simulate\": true}",
+      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
+      "\"runtime_check\": true}",
       "{\"op\": \"run\", \"source\": \"x\"} trailing garbage",
   };
   for (const char *Line : Bad)
     expectStatus(S, Line, "error");
-  // The session stayed usable through all of it.
+  // The session stayed usable through all of it, and the unknown-member
+  // rows' frame runs once the member is gone.
   expectStatus(S, "{\"op\": \"ping\"}", "pong");
-}
-
-TEST(DaemonProtocol, AbortFaultActionIsRefused) {
-  // A tenant must not be able to bring the whole service down; the abort
-  // policy is rejected at the protocol boundary, not deep in the run.
-  SessionHarness H;
-  Session S(H.env());
-  expectStatus(S,
-               requestLine("a", "run", healthySource(),
-                           "\"on_fault\": \"abort\""),
-               "error");
-  expectStatus(S,
-               requestLine("a", "run", healthySource(),
-                           "\"on_fault\": \"report\""),
+  expectStatus(S, "{\"op\": \"run\", \"source\": \"program p\\nend\\n\"}",
                "ok");
 }
 

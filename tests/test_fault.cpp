@@ -195,22 +195,35 @@ TEST(FaultAlloc, SaturatedExtentExpressionFaults) {
 // Parallel containment: first-fault-wins, cancellation, rollback
 //===----------------------------------------------------------------------===//
 
+/// A parallel-only DeadlineExceeded fault in lp at \p Iteration. Resource-
+/// limit faults are rolled back and reported without a serial replay, so
+/// they pin the rollback-and-report path.
+verify::FaultInjector deadlineInLp(int64_t Iteration) {
+  verify::InjectionPoint P;
+  P.Loop = "lp";
+  P.Iteration = Iteration;
+  P.Kind = FaultKind::DeadlineExceeded;
+  P.Detail = "injected deadline";
+  verify::FaultInjector Inj;
+  Inj.addPoint(std::move(P));
+  return Inj;
+}
+
 TEST(FaultContain, FirstFaultWinsUnderReport) {
   Harness H(SharedScale);
-  verify::FaultInjector Inj;
-  Inj.faultAt("lp", verify::InjectionPoint::EveryIteration);
+  verify::FaultInjector Inj =
+      deadlineInLp(verify::InjectionPoint::EveryIteration);
   Interpreter I(*H.P);
   ExecOptions Opts;
   Opts.Plans = &H.Plan;
   Opts.Threads = 4;
   Opts.MinParallelWork = 0;
-  Opts.OnFault = FaultAction::Report;
   Opts.Injector = &Inj;
   ExecStats Stats;
   I.run(Opts, &Stats);
   const FaultState &FS = I.faultState();
   ASSERT_TRUE(FS.Faulted);
-  EXPECT_EQ(FS.Fault.Kind, FaultKind::Injected);
+  EXPECT_EQ(FS.Fault.Kind, FaultKind::DeadlineExceeded);
   EXPECT_TRUE(FS.Fault.InParallel);
   EXPECT_EQ(FS.Fault.Loop, "lp");
   // Every worker traps at most one fault (its loop ends there), at least
@@ -221,7 +234,7 @@ TEST(FaultContain, FirstFaultWinsUnderReport) {
   EXPECT_EQ(FS.FaultsObserved, Stats.WorkerFaults + 1) << "winner re-counted "
                                                           "at the top level";
   EXPECT_EQ(FS.Rollbacks, 1u);
-  EXPECT_EQ(FS.Replays, 0u) << "report mode must not replay";
+  EXPECT_EQ(FS.Replays, 0u) << "a resource-limit fault must not replay";
 
   // The interpreter (and a fresh worker pool) stays usable after a
   // cancelled, faulted dispatch.
@@ -231,14 +244,12 @@ TEST(FaultContain, FirstFaultWinsUnderReport) {
 
 TEST(FaultContain, RollbackIsBitIdentical) {
   Harness H(SharedScale);
-  verify::FaultInjector Inj;
-  Inj.faultAt("lp", 1500);
+  verify::FaultInjector Inj = deadlineInLp(1500);
   Interpreter I(*H.P);
   ExecOptions Opts;
   Opts.Plans = &H.Plan;
   Opts.Threads = 4;
   Opts.MinParallelWork = 0;
-  Opts.OnFault = FaultAction::Report;
   Opts.Injector = &Inj;
   Memory M = I.run(Opts);
   ASSERT_TRUE(I.faultState().Faulted);
@@ -270,7 +281,6 @@ TEST(FaultReplayTest, RecoversParallelOnlyFault) {
   Opts.Threads = 4;
   Opts.MinParallelWork = 0;
   Opts.Injector = &Inj;
-  ASSERT_EQ(Opts.OnFault, FaultAction::Replay) << "replay is the default";
   ExecStats Stats;
   Memory M = I.run(Opts, &Stats);
   const FaultState &FS = I.faultState();
@@ -561,18 +571,16 @@ TEST(FaultContain, ReplayedInvocationCountsOneTier) {
 }
 
 TEST(FaultContain, ReportedFaultStillCountsItsTier) {
-  // Counterpart pin for the deferred tier accounting: under report mode
-  // there is no replay, so the faulted invocation stays in the tier it
-  // dispatched under.
+  // Counterpart pin for the deferred tier accounting: a resource-limit
+  // fault is reported without a replay, so the faulted invocation stays in
+  // the tier it dispatched under.
   Harness H(SharedScale);
-  verify::FaultInjector Inj;
-  Inj.faultAt("lp", 1000);
+  verify::FaultInjector Inj = deadlineInLp(1000);
   Interpreter I(*H.P);
   ExecOptions Opts;
   Opts.Plans = &H.Plan;
   Opts.Threads = 4;
   Opts.MinParallelWork = 0;
-  Opts.OnFault = FaultAction::Report;
   Opts.Injector = &Inj;
   ExecStats Stats;
   I.run(Opts, &Stats);

@@ -302,7 +302,6 @@ TEST(LocalityFaultReplay, ReorderedLoopRollsBackAndReplaysBitIdentically) {
   Opts.RuntimeChecks = true;
   Opts.Locality = sched::LocalityMode::Reorder;
   Opts.Injector = &Inj;
-  ASSERT_EQ(Opts.OnFault, FaultAction::Replay);
   ExecStats Stats;
   Memory M = I.run(Opts, &Stats);
   const FaultState &FS = I.faultState();

@@ -8,6 +8,7 @@
 #include "TestUtil.h"
 
 #include "interp/Interpreter.h"
+#include "xform/Parallelizer.h"
 #include "xform/Passes.h"
 
 using namespace iaa;
@@ -152,6 +153,40 @@ TEST(PassesEdge, DceKeepsLoopBoundReads) {
     end do
   end)");
   EXPECT_EQ(eliminateDeadCode(*P), 0u);
+}
+
+TEST(PassesEdge, DceKeepsArrayExtentReads) {
+  auto P = parseOrDie(R"(program t
+    integer n
+    real x(n)
+    n = 5
+    x(1) = 1.0
+  end)");
+  EXPECT_EQ(eliminateDeadCode(*P), 0u)
+      << "n sizes x, so its assignment must stay";
+}
+
+TEST(PassesEdge, PipelineKeepsTheAssignmentAnExtentReads) {
+  // Constant propagation rewrites the loop bound to 9 / 2, leaving the
+  // extent of a as the only read of n; dropping n = 9 then made the
+  // pipelined program fault bad-extent while the unchanged one ran.
+  const char *Source = R"(program t
+    integer i, n
+    real a(n / 2)
+    n = 9
+    do i = 1, n / 2
+      a(i) = i
+    end do
+  end)";
+  double Want = checksumOf(*parseOrDie(Source));
+  auto P = parseOrDie(Source);
+  PipelineResult R = parallelize(*P, PipelineMode::Full);
+  interp::Interpreter I(*P);
+  interp::ExecOptions Opts;
+  Opts.Plans = &R;
+  interp::Memory M = I.run(Opts);
+  ASSERT_FALSE(I.faultState().Faulted) << I.faultState().str();
+  EXPECT_EQ(M.checksum(), Want);
 }
 
 TEST(PassesEdge, InductionSubstitutionPreservesSemantics) {

@@ -391,7 +391,6 @@ TEST(ProfilerDispatch, CancelledDrainClampsTimelineAndImbalance) {
     Opts.Plans = &H.Plan;
     Opts.Threads = 7;
     Opts.Sched = Schedule::Dynamic;
-    Opts.ChunkSize = 1;
     Opts.MinParallelWork = 0;
     Opts.Injector = &Inj;
     Opts.Prof = &H.S;
@@ -603,7 +602,6 @@ TEST(ProfilerDeterminism, TinyChunksDoNotOversample) {
   Opts.Threads = 4;
   Opts.MinParallelWork = 0;
   Opts.Sched = Schedule::Dynamic;
-  Opts.ChunkSize = 1;
   Opts.Prof = &H.S;
   I.run(Opts);
   H.S.finalizeAnalysis();

@@ -85,9 +85,9 @@ TEST(WorkerPool, SingleWorkerRunsInline) {
 /// Drains the dispenser single-threaded (round-robin over workers) and
 /// checks that the chunks exactly partition [Lo, Up] in increasing order,
 /// per worker and globally.
-void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
-                      int64_t ChunkSize) {
-  ChunkDispenser D(Lo, Up, Workers, S, ChunkSize);
+void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers,
+                      Schedule S) {
+  ChunkDispenser D(Lo, Up, Workers, S);
   std::set<int64_t> Seen;
   std::vector<int64_t> LastPerWorker(Workers, INT64_MIN);
   unsigned Chunks = 0;
@@ -125,31 +125,23 @@ void expectExactCover(int64_t Lo, int64_t Up, unsigned Workers, Schedule S,
 
 TEST(ChunkDispenser, AllSchedulesPartitionExactly) {
   for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (unsigned T : {1u, 2u, 4u, 7u})
-      for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(3)}) {
-        expectExactCover(1, 6, T, S, ChunkSize);   // The regression shape.
-        expectExactCover(1, 100, T, S, ChunkSize);
-        expectExactCover(5, 5, T, S, ChunkSize);   // Single iteration.
-        expectExactCover(-3, 11, T, S, ChunkSize); // Negative lower bound.
-      }
+    for (unsigned T : {1u, 2u, 4u, 7u}) {
+      expectExactCover(1, 6, T, S);   // The regression shape.
+      expectExactCover(1, 100, T, S);
+      expectExactCover(5, 5, T, S);   // Single iteration.
+      expectExactCover(-3, 11, T, S); // Negative lower bound.
+    }
 }
 
 TEST(ChunkDispenser, GuidedFloorTailNeverOvershootsOrStarves) {
-  // The guided tail has two edges worth pinning: a chunk floor larger
-  // than what remains (ChunkSize = NIter + 1) must clamp to the
-  // remainder rather than dispense past Up, and a Remaining/Workers
-  // quotient of zero must still drain every last iteration instead of
-  // starving the trailing workers. expectExactCover checks both (no
-  // duplicates, no gaps, max dispensed iteration == Up).
-  const int64_t Lo = 1, Up = 37; // NIter = 37, prime-ish tail shapes.
-  for (unsigned T : {1u, 2u, 4u, 7u})
-    for (int64_t ChunkSize :
-         {int64_t(0), int64_t(1), int64_t(5), int64_t(Up - Lo + 2)})
-      expectExactCover(Lo, Up, T, Schedule::Guided, ChunkSize);
-  // Same sweep on a space smaller than the worker count.
-  for (unsigned T : {1u, 2u, 4u, 7u})
-    for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5), int64_t(4)})
-      expectExactCover(1, 3, T, Schedule::Guided, ChunkSize);
+  // The guided tail's edge worth pinning: a Remaining/Workers quotient of
+  // zero must still drain every last iteration at the floor of one
+  // instead of starving the trailing workers. expectExactCover checks it
+  // (no duplicates, no gaps, max dispensed iteration == Up).
+  for (unsigned T : {1u, 2u, 4u, 7u}) {
+    expectExactCover(1, 37, T, Schedule::Guided); // Prime-ish tail shapes.
+    expectExactCover(1, 3, T, Schedule::Guided);  // Fewer iterations than T.
+  }
 }
 
 TEST(ChunkDispenser, ZeroTripSpaceDispensesNothing) {
@@ -159,24 +151,22 @@ TEST(ChunkDispenser, ZeroTripSpaceDispensesNothing) {
   // advance its shared cursor on each exhausted poll.
   const std::pair<int64_t, int64_t> EmptyBounds[] = {{1, 0}, {5, 1}, {0, -3}};
   for (Schedule S : {Schedule::Static, Schedule::Dynamic, Schedule::Guided})
-    for (int64_t ChunkSize : {int64_t(0), int64_t(1), int64_t(5)})
-      for (auto [Lo, Up] : EmptyBounds) {
-        ChunkDispenser D(Lo, Up, 3, S, ChunkSize);
-        int64_t First, Last;
-        unsigned Id;
-        for (int Poll = 0; Poll < 100; ++Poll)
-          for (unsigned W = 0; W < 3; ++W)
-            EXPECT_FALSE(D.next(W, First, Last, Id))
-                << scheduleName(S) << " [" << Lo << ", " << Up
-                << "] chunk=" << ChunkSize;
-        EXPECT_EQ(D.chunksDispensed(), 0u);
-      }
+    for (auto [Lo, Up] : EmptyBounds) {
+      ChunkDispenser D(Lo, Up, 3, S);
+      int64_t First, Last;
+      unsigned Id;
+      for (int Poll = 0; Poll < 100; ++Poll)
+        for (unsigned W = 0; W < 3; ++W)
+          EXPECT_FALSE(D.next(W, First, Last, Id))
+              << scheduleName(S) << " [" << Lo << ", " << Up << "]";
+      EXPECT_EQ(D.chunksDispensed(), 0u);
+    }
 }
 
 TEST(ChunkDispenser, StaticCeilSplitLeavesTrailingWorkersEmpty) {
   // NIter=6, T=4: ceil(6/4)=2 → workers 0..2 get two iterations, worker 3
   // gets nothing. This is the decomposition behind the last-value bug.
-  ChunkDispenser D(1, 6, 4, Schedule::Static, 0);
+  ChunkDispenser D(1, 6, 4, Schedule::Static);
   int64_t First, Last;
   unsigned Id;
   ASSERT_TRUE(D.next(0, First, Last, Id));
@@ -191,7 +181,7 @@ TEST(ChunkDispenser, StaticCeilSplitLeavesTrailingWorkersEmpty) {
 }
 
 TEST(ChunkDispenser, GuidedChunksShrink) {
-  ChunkDispenser D(1, 1000, 4, Schedule::Guided, 0);
+  ChunkDispenser D(1, 1000, 4, Schedule::Guided);
   int64_t First, Last;
   unsigned Id;
   int64_t PrevSize = INT64_MAX;
@@ -201,19 +191,6 @@ TEST(ChunkDispenser, GuidedChunksShrink) {
     PrevSize = Size;
   }
   EXPECT_EQ(PrevSize, 1) << "guided drains down to the floor";
-}
-
-TEST(ChunkDispenser, DynamicRespectsExplicitChunkSize) {
-  ChunkDispenser D(1, 10, 2, Schedule::Dynamic, 4);
-  int64_t First, Last;
-  unsigned Id;
-  ASSERT_TRUE(D.next(0, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 4);
-  ASSERT_TRUE(D.next(1, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 4);
-  ASSERT_TRUE(D.next(0, First, Last, Id));
-  EXPECT_EQ(Last - First + 1, 2) << "tail chunk is clipped to Up";
-  EXPECT_FALSE(D.next(0, First, Last, Id));
 }
 
 //===----------------------------------------------------------------------===//

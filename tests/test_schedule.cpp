@@ -103,31 +103,6 @@ TEST(ScheduleEquivExtra, ReductionLoop) {
   expectScheduleEquivalence(*P, Plan, "reduction");
 }
 
-TEST(ScheduleEquivExtra, ExplicitChunkSizes) {
-  // Chunk sizes that do and do not divide the trip count, under every
-  // policy, must not change the result either.
-  auto All = benchprogs::allBenchmarks(/*Scale=*/0.05);
-  auto P = parseOrDie(All[4].Source); // TREE: array stacks + reductions.
-  xform::PipelineResult Plan =
-      xform::parallelize(*P, xform::PipelineMode::Full);
-  Interpreter I(*P);
-  Memory Serial = I.run(ExecOptions{});
-  std::set<unsigned> Dead = deadPrivateIds(Plan);
-  double Want = Serial.checksumExcluding(Dead);
-  for (Schedule S : AllSchedules)
-    for (int64_t Chunk : {1, 3, 64}) {
-      ExecOptions Par;
-      Par.Plans = &Plan;
-      Par.Threads = 4;
-      Par.Sched = S;
-      Par.ChunkSize = Chunk;
-      Par.MinParallelWork = 0;
-      Memory M = I.run(Par);
-      EXPECT_EQ(M.checksumExcluding(Dead), Want)
-          << scheduleName(S) << " chunk=" << Chunk;
-    }
-}
-
 TEST(ScheduleEquivExtra, SimulateModelsTheSameSchedule) {
   // Simulated execution must produce the same memory state as the serial
   // run under every schedule (it models the dispenser, not just a ceil

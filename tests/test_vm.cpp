@@ -168,12 +168,7 @@ struct Harness {
 /// Per-symbol-id dimension extents for direct compileLoop calls, derived
 /// from an allocated Memory (rank-1 constant-extent test programs only).
 std::vector<std::vector<int64_t>> extentsOf(const Program &P) {
-  Memory M(P);
-  std::vector<std::vector<int64_t>> Out(P.numSymbols());
-  for (const Symbol *S : P.symbols())
-    if (S->isArray() && S->rank() == 1)
-      Out[S->id()] = {static_cast<int64_t>(M.buffer(S).size())};
-  return Out;
+  return Memory(P).extents();
 }
 
 TEST(VmCompile, GatherScatterFusesToSuperinstructions) {
@@ -216,8 +211,7 @@ TEST(VmCompile, PureGatherLowersToGth) {
 
 TEST(VmCompile, BailoutTaxonomy) {
   // A call with no resolved callee (the parser rejects one, a program
-  // assembled through the Program API can hold one) is a structural
-  // bailout; the xform pre-check and the compiler must agree.
+  // assembled through the Program API can hold one) is a bailout.
   auto P = parseOrDie(R"(program t
     integer i, n
     real x(100)
@@ -232,12 +226,9 @@ TEST(VmCompile, BailoutTaxonomy) {
   const DoStmt *L = P->findLoop("lp");
   ASSERT_NE(L, nullptr);
   cast<CallStmt>(L->body().front())->setCallee(nullptr);
-  const char *Why = vm::structuralBailout(L);
-  ASSERT_NE(Why, nullptr);
-  EXPECT_NE(std::string(Why).find("unresolved"), std::string::npos) << Why;
   vm::CompileResult R = vm::compileLoop(L, extentsOf(*P));
   EXPECT_FALSE(R.Ok);
-  EXPECT_EQ(R.Bailout, Why);
+  EXPECT_NE(R.Bailout.find("unresolved"), std::string::npos) << R.Bailout;
 }
 
 TEST(VmCompile, WhileLowers) {
@@ -246,10 +237,7 @@ TEST(VmCompile, WhileLowers) {
   Harness H(benchprogs::tree(0.05).Source);
   const DoStmt *L = H.P->findLoop("do10");
   ASSERT_NE(L, nullptr);
-  EXPECT_EQ(vm::structuralBailout(L), nullptr);
-  const xform::LoopPlan *Plan = H.Plan.planFor(L);
-  ASSERT_NE(Plan, nullptr);
-  EXPECT_TRUE(Plan->VmEligible) << Plan->VmBailout;
+  ASSERT_NE(H.Plan.planFor(L), nullptr);
   vm::CompileResult R = vm::compileLoop(L, extentsOf(*H.P));
   ASSERT_TRUE(R.Ok) << R.Bailout;
   std::string Dis = R.Prog.str();
@@ -265,15 +253,6 @@ TEST(VmCompile, WhileLowers) {
       EXPECT_EQ(Reset.A, In.A) << Dis;
       EXPECT_EQ(Reset.Imm, 0) << Dis;
     }
-}
-
-TEST(VmCompile, PlansMarkEligibility) {
-  Harness H(PermutationScatter);
-  const DoStmt *L = H.P->findLoop("scat");
-  ASSERT_NE(L, nullptr);
-  const xform::LoopPlan *Cond = H.Plan.conditionalPlanFor(L);
-  ASSERT_NE(Cond, nullptr);
-  EXPECT_TRUE(Cond->VmEligible) << Cond->VmBailout;
 }
 
 //===----------------------------------------------------------------------===//
@@ -527,11 +506,10 @@ TEST(VmEngine, UnsupportedBodyFallsBackPerLoop) {
   ASSERT_TRUE(Rep->Parallel) << Rep->WhyNot;
   const DoStmt *L = H.P->findLoop("lp");
   ASSERT_NE(L, nullptr);
-  const xform::LoopPlan *Plan = H.Plan.planFor(L);
-  ASSERT_NE(Plan, nullptr);
-  EXPECT_FALSE(Plan->VmEligible);
-  EXPECT_NE(Plan->VmBailout.find("too deep"), std::string::npos)
-      << Plan->VmBailout;
+  ASSERT_NE(H.Plan.planFor(L), nullptr);
+  vm::CompileResult R = vm::compileLoop(L, extentsOf(*H.P));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_NE(R.Bailout.find("too deep"), std::string::npos) << R.Bailout;
 
   double Want = H.serialChecksum();
   Interpreter I(*H.P);
