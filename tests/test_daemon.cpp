@@ -220,8 +220,6 @@ TEST(DaemonProtocol, MalformedFramesAreStructuredErrors) {
       "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
       "\"chunk\": 4}",
       "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
-      "\"on_fault\": \"report\"}",
-      "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
       "\"simulate\": true}",
       "{\"op\": \"run\", \"source\": \"program p\\nend\\n\", "
       "\"runtime_check\": true}",
@@ -234,6 +232,24 @@ TEST(DaemonProtocol, MalformedFramesAreStructuredErrors) {
   expectStatus(S, "{\"op\": \"ping\"}", "pong");
   expectStatus(S, "{\"op\": \"run\", \"source\": \"program p\\nend\\n\"}",
                "ok");
+}
+
+TEST(DaemonProtocol, AbortFaultActionIsRefused) {
+  // A tenant must not be able to bring the whole service down. There is no
+  // fault policy on the wire: a worker fault always rolls back and replays
+  // serially, so "on_fault" is refused at the protocol boundary whatever
+  // its value, and the same run is accepted without it.
+  SessionHarness H;
+  Session S(H.env());
+  expectStatus(S,
+               requestLine("a", "run", healthySource(),
+                           "\"on_fault\": \"abort\""),
+               "error");
+  expectStatus(S,
+               requestLine("a", "run", healthySource(),
+                           "\"on_fault\": \"report\""),
+               "error");
+  expectStatus(S, requestLine("a", "run", healthySource()), "ok");
 }
 
 TEST(DaemonProtocol, TruncatedFramesNeverCrash) {
